@@ -18,6 +18,7 @@ from powerdom.ipmodels import (
     build_ip_ell,
     build_ip_ordering,
     check_assignment,
+    lp_matrices,
     objective_value,
 )
 
@@ -25,24 +26,7 @@ from powerdom.ipmodels import (
 def lp_optimum(model) -> float:
     from scipy.optimize import linprog
 
-    idx = {name: j for j, name in enumerate(model.variables)}
-    c = [0.0] * len(model.variables)
-    for name in model.objective:
-        c[idx[name]] = 1.0
-    a_ub, b_ub, a_eq, b_eq = [], [], [], []
-    for con in model.constraints:
-        row = [0.0] * len(model.variables)
-        for name, coef in con.coeffs:
-            row[idx[name]] = float(coef)
-        if con.sense == "<=":
-            a_ub.append(row)
-            b_ub.append(float(con.rhs))
-        elif con.sense == ">=":
-            a_ub.append([-x for x in row])
-            b_ub.append(-float(con.rhs))
-        else:
-            a_eq.append(row)
-            b_eq.append(float(con.rhs))
+    c, a_ub, b_ub, a_eq, b_eq = lp_matrices(model)
     res = linprog(c, A_ub=a_ub or None, b_ub=b_ub or None,
                   A_eq=a_eq or None, b_eq=b_eq or None,
                   bounds=(0, 1), method="highs")

@@ -6,33 +6,14 @@ import itertools
 from typing import Iterable
 
 from powerdom.graphs import Graph
+from powerdom.propagation import spread
 
 
 def _covers(closed: tuple[int, ...], sources: Iterable[int], tmask: int, ell: int) -> bool:
-    # Same spreading rule as powerdom.propagation, specialized to bitmasks
-    # with an early exit once every target bit is set.
-    cur = 0
+    first = 0
     for v in sources:
-        cur |= closed[v]
-    if cur & tmask == tmask:
-        return True
-    r = 1
-    while r < ell:
-        nxt = cur
-        m = cur
-        while m:
-            low = m & -m
-            m ^= low
-            rem = closed[low.bit_length() - 1] & ~cur
-            if rem and rem & (rem - 1) == 0:
-                nxt |= rem
-        if nxt == cur:
-            return False
-        cur = nxt
-        if cur & tmask == tmask:
-            return True
-        r += 1
-    return False
+        first |= closed[v]
+    return spread(closed, first, ell, stop=tmask) & tmask == tmask
 
 
 def solve_bf(

@@ -24,7 +24,7 @@ from math import inf as INF
 from typing import NamedTuple
 
 from powerdom.graphs import Graph
-from powerdom.propagation import is_feasible, propagate
+from powerdom.propagation import is_feasible, spread
 from powerdom.treedecomp import NiceTreeDecomposition, heuristic_td, to_nice, validate_td
 
 # Edge orientation codes, per sorted bag edge (u, v) with u < v.
@@ -222,20 +222,30 @@ def _prune_dominated(table: StateTable, ctx: BagContext, adj_mask, seen_mask: in
 def _greedy_upper_bound(
     g: Graph, targets: frozenset[int], ell: int
 ) -> tuple[int, frozenset[int]]:
-    """A feasible solution found greedily, with its size; prunes DP states."""
-    chosen: set[int] = set()
-    covered: frozenset[int] = frozenset()
-    while not targets <= covered:
+    """A feasible solution found greedily, with its size; prunes DP states.
+
+    Each step adds the node whose addition observes the most targets,
+    the lowest id among equals.
+    """
+    closed = g.closed_masks()
+    tmask = 0
+    for v in targets:
+        tmask |= 1 << v
+    chosen = 0
+    base = 0  # union of the chosen nodes' closed neighborhoods
+    covered = 0
+    while covered < len(targets):
         best = None
         for v in range(g.n):
-            if v in chosen:
+            if chosen >> v & 1:
                 continue
-            gain = len((propagate(g, chosen | {v}, ell).observed() & targets) - covered)
-            if best is None or gain > best[0]:
-                best = (gain, v)
-        chosen.add(best[1])
-        covered = propagate(g, chosen, ell).observed() & targets
-    return len(chosen), frozenset(chosen)
+            hit = (spread(closed, base | closed[v], ell, stop=tmask) & tmask).bit_count()
+            if best is None or hit > best[0]:
+                best = (hit, v)
+        covered, v = best
+        chosen |= 1 << v
+        base |= closed[v]
+    return chosen.bit_count(), frozenset(v for v in range(g.n) if chosen >> v & 1)
 
 
 def solve_dp(
@@ -289,11 +299,14 @@ def solve_dp(
     first = [0.0] * g.n
     second = [0.0] * g.n
     lone_origin_works = False
+    closed = g.closed_masks()
     for u in range(g.n):
-        trace = propagate(g, {u}, g.n)
+        times = [INF] * g.n
+        spread(closed, closed[u], g.n, times)
+        times[u] = 0
         if not lone_origin_works:
-            lone_origin_works = all(trace.times[v] <= ell for v in targets)
-        for v, t in enumerate(trace.times):
+            lone_origin_works = all(times[v] <= ell for v in targets)
+        for v, t in enumerate(times):
             if t > first[v]:
                 second[v] = first[v]
                 first[v] = t

@@ -20,7 +20,7 @@ from fractions import Fraction
 from typing import Iterable, Mapping
 
 from .graphs import Graph
-from .propagation import is_feasible, propagate
+from .propagation import INF, propagate
 
 
 def _xname(v: int) -> str:
@@ -192,9 +192,9 @@ def canonical_assignment(
     an infeasible s is rejected instead.
     """
     origins = frozenset(s)
-    if not is_feasible(g, origins, range(g.n), ell):
-        raise ValueError("origin set does not observe every node within the round budget")
     times = propagate(g, origins, ell).times if g.n else ()
+    if INF in times:
+        raise ValueError("origin set does not observe every node within the round budget")
     a: dict[str, int] = {}
     for v in range(g.n):
         a[_xname(v)] = 1 if v in origins else 0
@@ -235,6 +235,31 @@ def check_assignment(
         if not ok:
             violated.append(c.tag)
     return violated
+
+
+def lp_matrices(model: IpModel) -> tuple[list, list, list, list, list]:
+    """Dense (c, A_ub, b_ub, A_eq, b_eq) of the model's relaxation, with
+    columns in variable order and ">=" rows negated into "<=" rows, as
+    scipy.optimize.linprog takes them."""
+    idx = {name: j for j, name in enumerate(model.variables)}
+    c = [0.0] * len(model.variables)
+    for name in model.objective:
+        c[idx[name]] = 1.0
+    a_ub, b_ub, a_eq, b_eq = [], [], [], []
+    for con in model.constraints:
+        row = [0.0] * len(model.variables)
+        for name, coef in con.coeffs:
+            row[idx[name]] = float(coef)
+        if con.sense == "<=":
+            a_ub.append(row)
+            b_ub.append(float(con.rhs))
+        elif con.sense == ">=":
+            a_ub.append([-x for x in row])
+            b_ub.append(-float(con.rhs))
+        else:
+            a_eq.append(row)
+            b_eq.append(float(con.rhs))
+    return c, a_ub, b_ub, a_eq, b_eq
 
 
 def objective_value(model: IpModel, a: Mapping[str, object]) -> Fraction:

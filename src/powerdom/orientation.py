@@ -24,12 +24,6 @@ class TimedOrientation:
     times: tuple[float, ...]
     ell: int
 
-    def in_degree(self, v: int) -> int:
-        return sum(1 for _, y in self.directed if y == v)
-
-    def out_degree(self, v: int) -> int:
-        return sum(1 for x, _ in self.directed if x == v)
-
 
 @dataclass(frozen=True)
 class Violation:

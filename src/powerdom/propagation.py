@@ -18,13 +18,6 @@ from powerdom.graphs import Graph
 INF = math.inf
 
 
-def _bits(mask: int):
-    while mask:
-        low = mask & -mask
-        yield low.bit_length() - 1
-        mask ^= low
-
-
 @dataclass(frozen=True)
 class PropagationTrace:
     """Result of running the spreading process for a fixed number of rounds.
@@ -47,47 +40,94 @@ class PropagationTrace:
         return all(self.times[v] != INF for v in targets)
 
 
+def spread(
+    closed: tuple[int, ...],
+    first: int,
+    k: int,
+    times: list[float] | None = None,
+    stop: int = 0,
+) -> int:
+    """Observed mask after k rounds whose first round observes `first`.
+
+    closed[v] is the bitmask of v's closed neighborhood.  Round 2 checks
+    every observed node; a later round checks only the observed nodes in
+    the closed neighborhood of a node observed the round before, since no
+    other node's count of unobserved closed neighbors can have changed.
+    When `times` is given, times[v] is set to the round v is first
+    observed, 1 for every node of `first`.  Stops early once a round adds
+    nothing, or once every bit of a nonzero `stop` is observed.
+    """
+    cur = first
+    if times is not None:
+        m = first
+        while m:
+            low = m & -m
+            m ^= low
+            times[low.bit_length() - 1] = 1
+    check = first
+    r = 1
+    while r < k and not (stop and cur & stop == stop):
+        free = ~cur
+        nxt = cur
+        m = check
+        while m:
+            low = m & -m
+            m ^= low
+            rem = closed[low.bit_length() - 1] & free
+            if rem and rem & (rem - 1) == 0:
+                nxt |= rem
+        new = nxt ^ cur
+        if not new:
+            break
+        r += 1
+        cur = nxt
+        check = 0
+        while new:
+            low = new & -new
+            new ^= low
+            v = low.bit_length() - 1
+            check |= closed[v]
+            if times is not None:
+                times[v] = r
+        check &= cur
+    return cur
+
+
+def _first_round(g: Graph, src: frozenset[int], k: int) -> int:
+    if k < 1:
+        raise ValueError("round budget k must be >= 1")
+    closed = g.closed_masks()
+    first = 0
+    for v in src:
+        if not (0 <= v < g.n):
+            raise ValueError(f"source {v} out of range")
+        first |= closed[v]
+    return first
+
+
 def propagate(g: Graph, sources: Iterable[int], k: int) -> PropagationTrace:
     """Run k rounds of spreading from `sources` and record first-hit times.
 
     k must be at least 1.  Stops early once a round adds nothing, since the
     set can then never grow again.
     """
-    if k < 1:
-        raise ValueError("round budget k must be >= 1")
     src = frozenset(sources)
-    for v in src:
-        if not (0 <= v < g.n):
-            raise ValueError(f"source {v} out of range")
+    first = _first_round(g, src, k)
     times: list[float] = [INF] * g.n
+    spread(g.closed_masks(), first, k, times)
     for v in src:
         times[v] = 0
-    closed = g.closed_masks()
-    cur = 0
-    for v in src:
-        cur |= closed[v]
-    for v in _bits(cur):
-        if times[v] == INF:
-            times[v] = 1
-    r = 1
-    while r < k:
-        nxt = cur
-        for u in _bits(cur):
-            rem = closed[u] & ~cur
-            if rem and rem & (rem - 1) == 0:
-                nxt |= rem
-        if nxt == cur:
-            break
-        r += 1
-        for v in _bits(nxt & ~cur):
-            times[v] = r
-        cur = nxt
     return PropagationTrace(times=tuple(times), rounds_run=k, source_set=src)
 
 
 def is_feasible(g: Graph, sources: Iterable[int], targets: Iterable[int], ell: int) -> bool:
     """Does `sources` observe every target within `ell` rounds?"""
-    tgt = list(targets)
-    if not tgt:
+    tmask = 0
+    for v in targets:
+        if not (0 <= v < g.n):
+            raise ValueError(f"target {v} out of range")
+        tmask |= 1 << v
+    if not tmask:
         return True
-    return propagate(g, sources, ell).covers(tgt)
+    first = _first_round(g, frozenset(sources), ell)
+    return spread(g.closed_masks(), first, ell, stop=tmask) & tmask == tmask

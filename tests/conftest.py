@@ -1,4 +1,6 @@
-"""Shared graph builders for the test suite."""
+"""Shared graph builders and the naive spreading oracle for the test suite."""
+
+import math
 
 from powerdom.graphs import Graph
 
@@ -44,3 +46,38 @@ def random_connected_graph(rng, n: int, p: float) -> Graph:
         g = random_graph(rng, n, p)
         if is_connected(g):
             return g
+
+
+def naive_times(g: Graph, sources, k: int) -> list[float]:
+    """Recompute observation times straight from the round definition.
+
+    Round 1 takes the union of closed neighborhoods of the sources; every
+    later round adds any node with a neighbor whose other neighbors are all
+    already in.  Kept deliberately independent of the library code.
+    """
+    times: list[float] = [math.inf] * g.n
+    cur = set(sources)
+    for v in cur:
+        times[v] = 0.0
+    for r in range(1, k + 1):
+        if not cur:
+            break
+        if r == 1:
+            new = set(cur)
+            for v in cur:
+                new.update(g.adjacency[v])
+        else:
+            new = set(cur)
+            for v in range(g.n):
+                if v in cur:
+                    continue
+                for u in g.adjacency[v]:
+                    if u in cur and all(
+                        w in cur for w in g.adjacency[u] if w != v
+                    ):
+                        new.add(v)
+                        break
+        for v in new - cur:
+            times[v] = float(r)
+        cur = new
+    return times

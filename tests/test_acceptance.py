@@ -30,6 +30,7 @@ from powerdom.ipmodels import (
     build_ip_ordering,
     canonical_assignment,
     check_assignment,
+    lp_matrices,
     objective_value,
 )
 from powerdom.orientation import TimedOrientation, orientation_from_trace, origin, validate
@@ -331,24 +332,7 @@ def test_criterion_12_relaxation_gap():
     optima = []
     for with_ineqs in (False, True):
         model = build_ip_ell(g, 3, with_valid_ineqs=with_ineqs)
-        idx = {name: j for j, name in enumerate(model.variables)}
-        c = [0.0] * len(model.variables)
-        for name in model.objective:
-            c[idx[name]] = 1.0
-        a_ub, b_ub, a_eq, b_eq = [], [], [], []
-        for con in model.constraints:
-            row = [0.0] * len(model.variables)
-            for name, coef in con.coeffs:
-                row[idx[name]] = float(coef)
-            if con.sense == "<=":
-                a_ub.append(row)
-                b_ub.append(float(con.rhs))
-            elif con.sense == ">=":
-                a_ub.append([-x for x in row])
-                b_ub.append(-float(con.rhs))
-            else:
-                a_eq.append(row)
-                b_eq.append(float(con.rhs))
+        c, a_ub, b_ub, a_eq, b_eq = lp_matrices(model)
         res = linprog(c, A_ub=a_ub or None, b_ub=b_ub or None,
                       A_eq=a_eq or None, b_eq=b_eq or None,
                       bounds=(0, 1), method="highs")

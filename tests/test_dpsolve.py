@@ -1,10 +1,12 @@
 import random
+from math import inf as INF
 
 import pytest
 
 from conftest import (
     complete_graph,
     cycle_graph,
+    naive_times,
     path_graph,
     random_connected_graph,
     random_graph,
@@ -92,6 +94,32 @@ def test_stats_hook():
     stats = {}
     solve_dp(star_graph(6), range(6), 1, stats=stats)
     assert stats["table_sizes"] == []
+
+
+def _reference_greedy(g, targets, ell):
+    """Add the node observing the most targets, lowest id among equals,
+    until every target is observed; spreading by the naive oracle."""
+
+    def hit(s):
+        times = naive_times(g, s, ell)
+        return sum(1 for v in targets if times[v] != INF)
+
+    chosen: set[int] = set()
+    while hit(chosen) < len(targets):
+        gain = {v: hit(chosen | {v}) for v in range(g.n) if v not in chosen}
+        chosen.add(max(gain, key=lambda v: (gain[v], -v)))
+    return chosen
+
+
+def test_greedy_bound_matches_reference_greedy():
+    rng = random.Random(1618)
+    for _ in range(40):
+        n = rng.randint(1, 9)
+        g = random_graph(rng, n, rng.uniform(0.1, 0.6))
+        ell = rng.randint(1, n)
+        targets = frozenset(v for v in range(n) if rng.random() < 0.7) or frozenset({0})
+        want = _reference_greedy(g, targets, ell)
+        assert _greedy_upper_bound(g, targets, ell) == (len(want), frozenset(want))
 
 
 def test_matches_bruteforce_exhaustive_small():

@@ -1,4 +1,3 @@
-import math
 import random
 from collections import deque
 
@@ -6,45 +5,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import cycle_graph, path_graph, random_graph
+from conftest import cycle_graph, naive_times, path_graph, random_graph
+from powerdom.bruteforce import _covers
 from powerdom.generators import spider
 from powerdom.graphs import Graph
 from powerdom.propagation import INF, is_feasible, propagate
-
-
-def naive_times(g: Graph, sources, k: int) -> list[float]:
-    """Recompute observation times straight from the round definition.
-
-    Round 1 takes the union of closed neighborhoods of the sources; every
-    later round adds any node with a neighbor whose other neighbors are all
-    already in.  Kept deliberately independent of the library code.
-    """
-    times: list[float] = [math.inf] * g.n
-    cur = set(sources)
-    for v in cur:
-        times[v] = 0.0
-    for r in range(1, k + 1):
-        if not cur:
-            break
-        if r == 1:
-            new = set(cur)
-            for v in cur:
-                new.update(g.adjacency[v])
-        else:
-            new = set(cur)
-            for v in range(g.n):
-                if v in cur:
-                    continue
-                for u in g.adjacency[v]:
-                    if u in cur and all(
-                        w in cur for w in g.adjacency[u] if w != v
-                    ):
-                        new.add(v)
-                        break
-        for v in new - cur:
-            times[v] = float(r)
-        cur = new
-    return times
 
 
 def bfs_depth(g: Graph, root: int) -> list[int]:
@@ -144,3 +109,31 @@ def test_is_feasible_spider_identity():
 def test_is_feasible_empty_targets():
     g = path_graph(3)
     assert is_feasible(g, set(), set(), 1)
+
+
+def test_is_feasible_rejects_out_of_range_targets():
+    g = path_graph(3)
+    for bad in (3, -1):
+        with pytest.raises(ValueError):
+            is_feasible(g, {0}, {bad}, 2)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.randoms(use_true_random=False), st.integers(1, 14))
+def test_every_round_budget_matches_naive_oracle(rnd, n):
+    g = random_graph(rnd, n, rnd.uniform(0.1, 0.7))
+    sources = {v for v in range(n) if rnd.random() < 0.25}
+    targets = {v for v in range(n) if rnd.random() < 0.6}
+    tmask = sum(1 << v for v in targets)
+    for k in range(1, n + 1):
+        want = naive_times(g, sources, k)
+        assert [float(t) for t in propagate(g, sources, k).times] == want
+        # is_feasible stops once the targets are in; _covers is the same test.
+        feasible = all(want[v] != INF for v in targets)
+        assert is_feasible(g, sources, targets, k) == feasible
+        assert _covers(g.closed_masks(), sources, tmask, k) == feasible
+
+
+def test_long_path_times_are_distances():
+    n = 2000
+    assert propagate(path_graph(n), {0}, n).times == tuple(range(n))
