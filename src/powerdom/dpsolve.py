@@ -2,13 +2,26 @@
 over a nice tree decomposition.
 
 States describe, per bag: the orientation of bag-internal edges, a time label
-per bag node (plain = justified, hatted = justification still owed, inf =
-never observed), counters of directed edges into/out of the forgotten region,
-the maximum label among a node's forgotten neighbors, and a cap on the labels
-of a node's not-yet-seen neighbors.  The cap field closes a timing leak: when
-the head of a directed edge leaves the bags before the tail's remaining
-neighbors have appeared, those future neighbors must still fit under the
-head's deadline, so the tail carries the bound forward.
+per bag node (plain = justified, hatted = justification still owed,
+UNOBSERVED = never observed), counters of directed edges into/out of the
+forgotten region, the maximum label among a node's forgotten neighbors, and a
+cap on the labels of a node's not-yet-seen neighbors.  The cap field closes a
+timing leak: when the head of a directed edge leaves the bags before the
+tail's remaining neighbors have appeared, those future neighbors must still
+fit under the head's deadline, so the tail carries the bound forward.
+
+A state is one flat tuple of ints.  With E sorted bag edges and N sorted bag
+nodes it reads
+
+    (*edge codes, *labels, *below-maxima, *negated caps, hat, in, out1, out2)
+
+where the last four are bitmasks over bag positions: hatted labels, nodes
+with a directed edge in from the forgotten region, and nodes with at least
+one / at least two directed edges out into it.  Caps are stored negated, so
+every per-node field merges by max at a join and is smaller-is-better under
+dominance.  A table is a plain dict from state to (cost, back); back indexes
+the child tables in their final, pruned order, so a child's states can be
+dropped as soon as its parent's table is built.
 
 Transitions generate only states that pass is_invalid_state.  They enforce
 the clauses by construction plus targeted rechecks of whatever each step can
@@ -21,7 +34,7 @@ from __future__ import annotations
 import sys
 from dataclasses import dataclass, field
 from math import inf as INF
-from typing import NamedTuple
+from operator import itemgetter, le
 
 from powerdom.graphs import Graph
 from powerdom.propagation import is_feasible, spread
@@ -32,30 +45,20 @@ EDGE_NONE = 0
 EDGE_FWD = 1  # u -> v
 EDGE_REV = 2  # v -> u
 
-NO_CAP = INF
-
-
-class BagState(NamedTuple):
-    """Per-bag DP state; tuples run parallel to the bag's sorted node list
-    (labels are (value, hatted) pairs) and its sorted edge list."""
-
-    edge_state: tuple[int, ...]
-    node_label: tuple[tuple[float, int], ...]
-    in_from_below: tuple[int, ...]
-    out_to_below: tuple[int, ...]
-    below_max: tuple[float, ...]
-    pending_cap: tuple[float, ...]
+# Label of a node that is never observed; above every round number.  An
+# absent cap admits every label, this one included.
+UNOBSERVED = 1 << 30
+NO_CAP = UNOBSERVED
 
 
 @dataclass(frozen=True, eq=False)
 class BagContext:
     """Static per-bag data: the bag's induced subgraph, which bag nodes are
-    targets, the round budget, and index-based mirrors for fast checks."""
+    targets, and index-based mirrors for fast checks."""
 
     nodes: tuple[int, ...]
     edges: tuple[tuple[int, int], ...]
     targets: frozenset[int]
-    ell: int
     pos: dict[int, int] = field(repr=False, default=None)
     edge_pos: tuple[tuple[int, int], ...] = field(repr=False, default=None)
     adj_pos: tuple[tuple[int, ...], ...] = field(repr=False, default=None)
@@ -73,35 +76,55 @@ class BagContext:
             object.__setattr__(self, "adj_pos", tuple(map(tuple, adj)))
 
 
-def _bag_context(g: Graph, bag: frozenset[int], targets: frozenset[int], ell: int) -> BagContext:
+def _bag_context(g: Graph, bag: frozenset[int], targets: frozenset[int]) -> BagContext:
     nodes = tuple(sorted(bag))
     edges = tuple(
         (u, v) for i, u in enumerate(nodes) for v in nodes[i + 1 :] if g.has_edge(u, v)
     )
-    return BagContext(nodes, edges, targets & bag, ell)
+    return BagContext(nodes, edges, targets & bag)
 
 
-def is_invalid_state(ctx: BagContext, s: BagState) -> bool:
+def _picker(positions):
+    """Like itemgetter(*positions), but always returning a tuple."""
+    if len(positions) == 1:
+        p = positions[0]
+        return lambda s: (s[p],)
+    if not positions:
+        return lambda s: ()
+    return itemgetter(*positions)
+
+
+def is_invalid_state(ctx: BagContext, s: tuple) -> bool:
     """True iff the state violates a timed-orientation property locally or
     provably cannot extend to one that satisfies them all."""
     n = len(ctx.nodes)
+    m = len(ctx.edges)
+    if len(s) != m + 3 * n + 4:
+        return True
+    labels = s[m : m + n]
+    below_max = s[m + n : m + 2 * n]
+    caps = [-c for c in s[m + 2 * n : m + 3 * n]]
+    hat, in_below, out1, out2 = s[-4:]
+    if out2 & ~out1 or (hat | in_below | out1) >> n:
+        return True  # masks that encode no degree pattern
     d_in = [0] * n
     d_out = [0] * n
-    for (pu, pv), e in zip(ctx.edge_pos, s.edge_state):
+    for (pu, pv), e in zip(ctx.edge_pos, s):
         if e == EDGE_FWD:
             d_out[pu] += 1
             d_in[pv] += 1
         elif e == EDGE_REV:
             d_out[pv] += 1
             d_in[pu] += 1
-    labels = s.node_label
     for i in range(n):
-        val, hat = labels[i]
-        incoming = d_in[i] + s.in_from_below[i]
-        if val == INF:
+        val = labels[i]
+        from_below = in_below >> i & 1
+        to_below = (out1 >> i & 1) + (out2 >> i & 1)
+        incoming = d_in[i] + from_below
+        if val == UNOBSERVED:
             if ctx.nodes[i] in ctx.targets:
                 return True  # targets must be observed
-            if incoming + d_out[i] + s.out_to_below[i] >= 1:
+            if incoming + d_out[i] + to_below >= 1:
                 return True  # unobserved nodes touch no directed edge
         elif val == 0:
             if incoming >= 1:
@@ -109,33 +132,33 @@ def is_invalid_state(ctx: BagContext, s: BagState) -> bool:
         else:
             if incoming > 1:
                 return True  # at most one justifying edge
-            if hat and incoming != 0:
+            if hat >> i & 1 and incoming != 0:
                 return True  # hatted means justification still owed
-            if not hat and incoming == 0:
+            if not hat >> i & 1 and incoming == 0:
                 return True  # plain labels must already be justified
-        if s.in_from_below[i] == 1 and s.out_to_below[i] == 2:
+        if from_below and to_below == 2:
             return True
     # Timing on directed bag edges: the head's label may not undercut what
     # the tail's neighborhood, as far as it has been seen, already forces.
-    for (pu, pv), e in zip(ctx.edge_pos, s.edge_state):
+    for (pu, pv), e in zip(ctx.edge_pos, s):
         if e == EDGE_NONE:
             continue
         pt, ph = (pu, pv) if e == EDGE_FWD else (pv, pu)
-        hv = labels[ph][0]
-        tv = labels[pt][0]
+        hv = labels[ph]
+        tv = labels[pt]
         if hv == 1:
             if tv != 0:
                 return True
         elif hv > 1:
-            bound = max(s.below_max[pt], tv)
+            bound = max(below_max[pt], tv)
             for pw in ctx.adj_pos[pt]:
-                if pw != ph and labels[pw][0] > bound:
-                    bound = labels[pw][0]
+                if pw != ph and labels[pw] > bound:
+                    bound = labels[pw]
             if hv < 1 + bound:
                 return True
     # Pending caps: each bag node must fit under its bag neighbors' caps.
     for pu, pv in ctx.edge_pos:
-        if labels[pu][0] > s.pending_cap[pv] or labels[pv][0] > s.pending_cap[pu]:
+        if labels[pu] > caps[pv] or labels[pv] > caps[pu]:
             return True
     return False
 
@@ -147,30 +170,12 @@ def state_space_size(n_i: int, m_i: int, ell: int) -> int:
     return val if val < sys.maxsize else sys.maxsize
 
 
-class StateTable:
-    """Map from BagState to (origin count, back-reference); keeps the
-    cheapest entry per state and never holds an invalid state."""
-
-    __slots__ = ("entries",)
-
-    def __init__(self):
-        self.entries: dict[BagState, tuple[int, tuple]] = {}
-
-    def offer(self, state: BagState, cost: int, back: tuple) -> None:
-        cur = self.entries.get(state)
-        if cur is None or cost < cur[0]:
-            self.entries[state] = (cost, back)
-
-    def __len__(self) -> int:
-        return len(self.entries)
-
-
 # In-progress tables get a dominance sweep whenever they grow past this
 # many entries, bounding peak memory rather than just the handoff size.
 PRUNE_TRIGGER = 200_000
 
 
-def _prune_dominated(table: StateTable, ctx: BagContext, adj_mask, seen_mask: int) -> None:
+def _prune_dominated(table: dict, ctx: BagContext, adj_mask, seen_mask: int) -> None:
     """Drop states another state renders pointless.
 
     Two states with the same orientation, labels, and below-in-degrees are
@@ -181,42 +186,46 @@ def _prune_dominated(table: StateTable, ctx: BagContext, adj_mask, seen_mask: in
     the exact-label rule when the last neighbor arrives, where unequal
     values produce different labels, not better ones.
     """
-    if len(table.entries) < 2:
+    if len(table) < 2:
         return
+    m, n = len(ctx.edges), len(ctx.nodes)
     is_open = [bool(adj_mask[v] & ~seen_mask) for v in ctx.nodes]
-    buckets: dict[tuple, list[tuple]] = {}
-    for state, (cost, _) in table.entries.items():
-        key = (
-            state.edge_state,
-            state.node_label,
-            state.in_from_below,
-            tuple(b for b, o in zip(state.below_max, is_open) if o),
-        )
-        # Negate caps so that smaller-is-better holds on every axis.
-        vec = (
-            cost,
-            *(-c for c in state.pending_cap),
-            *state.out_to_below,
-            *(b for b, o in zip(state.below_max, is_open) if not o),
-        )
-        buckets.setdefault(key, []).append((vec, state))
-    dead: list[BagState] = []
+    key_of = _picker([
+        *range(m + n),
+        *(m + n + i for i in range(n) if is_open[i]),
+        m + 3 * n,  # hat
+        m + 3 * n + 1,  # in
+    ])
+    vec_of = _picker([
+        *range(m + 2 * n, m + 3 * n),  # negated caps
+        *(m + n + i for i in range(n) if not is_open[i]),
+    ])
+    buckets: dict[tuple, list] = {}
+    for state in table:
+        buckets.setdefault(key_of(state), []).append(state)
+    dead: list[tuple] = []
     for group in buckets.values():
         if len(group) < 2:
             continue
-        # Componentwise <= with any difference implies lexicographically <,
+        ranked = []
+        for state in group:
+            out1, out2 = state[-2:]
+            vec = (table[state][0], *vec_of(state), out1.bit_count() + out2.bit_count())
+            ranked.append((vec, out1, out2, state))
+        # Componentwise <= with any difference implies a smaller vector in
+        # lexicographic order (the degree count stands for the out masks),
         # so once sorted a state only needs checking against earlier keeps.
-        group.sort(key=lambda t: t[0])
+        ranked.sort(key=itemgetter(0))
         kept: list[tuple] = []
-        for vec, state in group:
-            for kvec, _ in kept:
-                if all(a <= b for a, b in zip(kvec, vec)):
+        for vec, out1, out2, state in ranked:
+            for kvec, k1, k2 in kept:
+                if not (k1 & ~out1 or k2 & ~out2) and all(map(le, kvec, vec)):
                     dead.append(state)
                     break
             else:
-                kept.append((vec, state))
+                kept.append((vec, out1, out2))
     for state in dead:
-        del table.entries[state]
+        del table[state]
 
 
 def _greedy_upper_bound(
@@ -287,10 +296,6 @@ def solve_dp(
         # Targets are nonempty, so nothing beats a singleton; the greedy
         # witness is already optimal and the table machinery can rest.
         return (1, greedy_set)
-    adj_mask = [0] * g.n
-    for v in range(g.n):
-        for w in g.adjacency[v]:
-            adj_mask[v] |= 1 << w
     # Observation times only drop as origins are added, so no node is ever
     # claimed later than under the slowest single origin; and if no single
     # origin suffices, solutions hold two or more, so the second-slowest
@@ -315,49 +320,24 @@ def solve_dp(
     val_bound = first if (lone_origin_works or g.n < 2) else second
     eb = [int(min(b, ell)) for b in val_bound]
 
-    contexts = [_bag_context(g, nd.bag, targets, ell) for nd in ntd.nodes]
-    seen: list[int] = [0] * len(ntd.nodes)
-    tables: list[StateTable | None] = [None] * len(ntd.nodes)
-    for i in _post_order(ntd):
-        nd = ntd.nodes[i]
-        mask = 0
-        for v in nd.bag:
-            mask |= 1 << v
-        for c in nd.children:
-            mask |= seen[c]
-        seen[i] = mask
-        if nd.kind == "leaf":
-            tables[i] = _leaf_table(contexts[i], ub, adj_mask, mask, eb)
-        elif nd.kind == "insert":
-            tables[i] = _insert_table(
-                g, contexts[i], contexts[nd.children[0]], tables[nd.children[0]],
-                nd.node, ub, adj_mask, mask, eb,
-            )
-        elif nd.kind == "forget":
-            tables[i] = _forget_table(
-                contexts[i], contexts[nd.children[0]], tables[nd.children[0]],
-                nd.node,
-            )
-        else:
-            tables[i] = _join_table(
-                contexts[i], tables[nd.children[0]], tables[nd.children[1]],
-                ub, adj_mask, mask,
-            )
-        _prune_dominated(tables[i], contexts[i], adj_mask, mask)
+    # Each table is replaced by its back-references once built; the states
+    # live on only until the parent's table is done.
+    backs: list[list | None] = [None] * len(ntd.nodes)
+    for i, table, _ in _tables(g, ntd, targets, ub, eb):
+        backs[i] = [back for _, back in table.values()]
         if stats is not None:
-            stats["table_sizes"].append(len(tables[i].entries))
+            stats["table_sizes"].append(len(table))
 
-    root_table = tables[ntd.root]
     best = None
-    for state, (cost, _) in root_table.entries.items():
-        if any(hat for _, hat in state.node_label):
-            continue
-        if best is None or (cost, state) < best:
-            best = (cost, state)
+    for at, (state, (cost, _)) in enumerate(table.items()):
+        if state[-4]:
+            continue  # a hat is still owed
+        if best is None or (cost, state) < best[:2]:
+            best = (cost, state, at)
     if best is None:
         raise RuntimeError("no feasible root state; this is an internal error")
-    opt, root_state = best
-    witness = frozenset(_reconstruct(ntd, tables, contexts, root_state))
+    opt, _, at = best
+    witness = frozenset(_reconstruct(ntd, backs, at))
     if len(witness) != opt or not is_feasible(g, witness, targets, ell):
         raise RuntimeError("witness reconstruction failed; this is an internal error")
     return (opt, witness)
@@ -377,24 +357,62 @@ def _post_order(ntd: NiceTreeDecomposition) -> list[int]:
     return out
 
 
-def _leaf_table(ctx: BagContext, ub: int, adj_mask, seen_mask: int, eb) -> StateTable:
-    table = StateTable()
+def _tables(g: Graph, ntd: NiceTreeDecomposition, targets: frozenset[int], ub: int, eb):
+    """Build every nice node's pruned table bottom-up, yielding (node index,
+    table, bag context) as each is done, the root's last.  A child's table
+    is released once its parent's is built."""
+    adj_mask = [0] * g.n
+    for v in range(g.n):
+        for w in g.adjacency[v]:
+            adj_mask[v] |= 1 << w
+    contexts: list[BagContext | None] = [None] * len(ntd.nodes)
+    seen: list[int] = [0] * len(ntd.nodes)
+    tables: list[dict | None] = [None] * len(ntd.nodes)
+    for i in _post_order(ntd):
+        nd = ntd.nodes[i]
+        ctx = contexts[i] = _bag_context(g, nd.bag, targets)
+        mask = 0
+        for v in nd.bag:
+            mask |= 1 << v
+        for c in nd.children:
+            mask |= seen[c]
+        seen[i] = mask
+        if nd.kind == "leaf":
+            table = _leaf_table(ctx, ub, adj_mask, mask, eb)
+        elif nd.kind == "insert":
+            c = nd.children[0]
+            table = _insert_table(
+                g, ctx, contexts[c], tables[c], nd.node, ub, adj_mask, mask, eb
+            )
+        elif nd.kind == "forget":
+            c = nd.children[0]
+            table = _forget_table(ctx, contexts[c], tables[c], nd.node)
+        else:
+            a, b = nd.children
+            table = _join_table(ctx, tables[a], tables[b], ub, adj_mask, mask)
+        _prune_dominated(table, ctx, adj_mask, mask)
+        for c in nd.children:
+            tables[c] = None
+        tables[i] = table
+        yield i, table, ctx
+
+
+def _leaf_table(ctx: BagContext, ub: int, adj_mask, seen_mask: int, eb) -> dict:
+    """Back-references here are origin flags: 1 when the node is an origin."""
     if not ctx.nodes:
-        table.offer(BagState((), (), (), (), (), ()), 0, ("L",))
-        return table
+        return {(0, 0, 0, 0): (0, 0)}
     v = ctx.nodes[0]
-    options: list[tuple[tuple[float, int], int]] = [((0, 0), 1)]
+    options: list[tuple[int, int]] = [(0, 0)]
     if v not in ctx.targets:
-        options.append(((INF, 0), 0))
+        options.append((UNOBSERVED, 0))
     if adj_mask[v] & ~seen_mask:
         # A hat is a promise that a justifying neighbor appears later.
-        for a in range(1, eb[v] + 1):
-            options.append(((a, 1), 0))
-    for label, cost in options:
+        options.extend((a, 1) for a in range(1, eb[v] + 1))
+    table = {}
+    for val, hat in options:
+        cost = 1 if val == 0 else 0
         if cost <= ub:
-            table.offer(
-                BagState((), (label,), (0,), (0,), (0,), (NO_CAP,)), cost, ("L",)
-            )
+            table[(val, 0, -NO_CAP, hat, 0, 0, 0)] = (cost, cost)
     return table
 
 
@@ -402,32 +420,39 @@ def _insert_table(
     g: Graph,
     ctx: BagContext,
     child_ctx: BagContext,
-    child: StateTable,
+    child: dict,
     x: int,
     ub: int,
     adj_mask,
     seen_mask: int,
     eb,
-) -> StateTable:
-    table = StateTable()
-    old_pos = child_ctx.pos
-    old_nodes = child_ctx.nodes
-    bag_nbrs = tuple(v for v in ctx.nodes if v != x and g.has_edge(x, v))
-    nbr_pos = tuple(old_pos[v] for v in bag_nbrs)
-    # Parent edge list interleaves the child's edges with x's new ones;
-    # precompute where each parent edge-state entry comes from.
-    edge_src: list[tuple[str, int]] = []
-    for u, v in ctx.edges:
-        if u == x or v == x:
-            other = v if u == x else u
-            code_in = EDGE_FWD if other < x else EDGE_REV  # the neighbor -> x
-            code_out = EDGE_FWD if x < other else EDGE_REV  # x -> the neighbor
-            edge_src.append(("x", other, code_in, code_out))
-        else:
-            edge_src.append(("old", child_ctx.edges.index((u, v)), 0, 0))
+) -> dict:
+    """Back-references are (child index, 1 when x is an origin)."""
+    table: dict = {}
+    cm, cn = len(child_ctx.edges), len(child_ctx.nodes)
+    nbrs = tuple(v for v in ctx.nodes if v != x and g.has_edge(x, v))
+    d = len(nbrs)
+    npos = tuple(child_ctx.pos[v] for v in nbrs)
+    nbit = tuple(1 << ctx.pos[v] for v in nbrs)
+    # x's bag edges in parent order run along nbrs; codes for "the k-th
+    # neighbor -> x" and "x -> the k-th neighbor".
+    code_in = tuple(EDGE_FWD if v < x else EDGE_REV for v in nbrs)
+    code_out = tuple(EDGE_REV if v < x else EDGE_FWD for v in nbrs)
+    # A parent state is one pick from the child state followed by x's edge
+    # codes and x's label, below-maximum and negated cap.
+    ext = cm + 3 * cn + 4
+    x_src = {}
+    for k, v in enumerate(nbrs):
+        x_src[(v, x) if v < x else (x, v)] = ext + k
+    picks = [x_src.get(e) if x in e else child_ctx.edges.index(e) for e in ctx.edges]
+    for child_at, x_field_at in ((cm, ext + d), (cm + cn, ext + d + 1), (cm + 2 * cn, ext + d + 2)):
+        picks.extend(x_field_at if v == x else child_at + child_ctx.pos[v] for v in ctx.nodes)
+    body_of = _picker(picks)
+    nbr_labels = _picker([cm + p for p in npos])
+    nbr_caps = _picker([cm + 2 * cn + p for p in npos])
     # Child directed edges whose tail will neighbor x: x's label joins those
     # tails' neighborhoods, so the heads' deadlines cap it.
-    nbr_child_pos = frozenset(nbr_pos)
+    nbr_child_pos = frozenset(npos)
     tail_watch = [
         (k, pu, pv)
         for k, (pu, pv) in enumerate(child_ctx.edge_pos)
@@ -436,159 +461,127 @@ def _insert_table(
     x_has_future = bool(adj_mask[x] & ~seen_mask)
     # Hatted neighbors of x that run out of potential justifiers once x is
     # placed must be resolved by x itself.
-    dying = tuple(
-        v for v in bag_nbrs if adj_mask[v] & ~seen_mask == 0
-    )
-    none_opts_base: list[tuple[float, int]] = [(0, 0)]
+    dying = tuple(k for k, v in enumerate(nbrs) if adj_mask[v] & ~seen_mask == 0)
+    none_opts: list[tuple[int, int]] = [(0, 0)]
     if x not in ctx.targets:
-        none_opts_base.append((INF, 0))
+        none_opts.append((UNOBSERVED, 0))
     if x_has_future:
-        none_opts_base.extend((a, 1) for a in range(1, eb[x] + 1))
+        none_opts.extend((a, 1) for a in range(1, eb[x] + 1))
     x_at = ctx.pos[x]
+    low = (1 << x_at) - 1
     x_hi = eb[x]
+    # Per (justifier, resolved set): x's edge codes and the hats they clear.
+    edge_plans: dict[tuple[int, int], tuple[tuple, int]] = {}
     trigger = PRUNE_TRIGGER
 
-    for cstate, (ccost, _) in child.entries.items():
-        if len(table.entries) > trigger:
+    for ci, (cstate, (ccost, _)) in enumerate(child.items()):
+        if len(table) > trigger:
             _prune_dominated(table, ctx, adj_mask, seen_mask)
-            trigger = max(PRUNE_TRIGGER, 2 * len(table.entries))
-        clabel = cstate.node_label
-        ccaps = cstate.pending_cap
+            trigger = max(PRUNE_TRIGGER, 2 * len(table))
+        clabel = cstate[cm : cm + cn]
+        nlab = nbr_labels(cstate)
         # Tightest bound x's label must respect from caps and in-bag heads.
-        eff_cap = NO_CAP
-        for p in nbr_pos:
-            if ccaps[p] < eff_cap:
-                eff_cap = ccaps[p]
-        ces = cstate.edge_state
+        eff_cap = -max(nbr_caps(cstate), default=-NO_CAP)
         for k, pu, pv in tail_watch:
-            e = ces[k]
+            e = cstate[k]
             if e == EDGE_NONE:
                 continue
             pt, ph = (pu, pv) if e == EDGE_FWD else (pv, pu)
             if pt in nbr_child_pos:
-                hv = clabel[ph][0]
+                hv = clabel[ph]
                 if hv > 1 and hv - 1 < eff_cap:
                     eff_cap = hv - 1
-        hatted_nbrs = tuple(v for v, p in zip(bag_nbrs, nbr_pos) if clabel[p][1])
-        dying_hatted = tuple(v for v in dying if clabel[old_pos[v]][1])
-        in_choices: list[int | None] = [None]
-        in_choices.extend(
-            v for v, p in zip(bag_nbrs, nbr_pos) if clabel[p][0] != INF
+        # The child's masks with a clear bit opened at x's position.
+        hat, inb, out1, out2 = (
+            ((mk >> x_at) << (x_at + 1)) | (mk & low) for mk in cstate[-4:]
         )
-        for u_in in in_choices:
-            if u_in is None:
-                label_opts = none_opts_base
+        must_resolve = sum(1 << k for k in dying if hat & nbit[k])
+        # Hatted neighbors x could justify now, with their labels b.  x's
+        # own label must be below b (checked per label below; for b = 1 x is
+        # an origin), and for b > 1 every other neighbor of x's label too.
+        resolvable = []
+        for k in range(d):
+            if hat & nbit[k]:
+                b = nlab[k]
+                if b == 1 or all(lw < b for w, lw in enumerate(nlab) if w != k):
+                    resolvable.append((k, b))
+        in_choices = [-1]
+        in_choices.extend(k for k in range(d) if nlab[k] != UNOBSERVED)
+        for u in in_choices:
+            if u < 0:
+                label_opts = none_opts
             else:
-                up = old_pos[u_in]
-                uval = clabel[up][0]
+                up = npos[u]
+                uval = nlab[u]
                 if uval == 0:
-                    label_opts = [(1, 0)]
+                    label_opts = ((1, 0),)
                 else:
                     # Justifying x at time b needs b >= 1 + (everything the
                     # tail has seen); exactly that once nothing is left.
-                    bound = cstate.below_max[up]
+                    bound = cstate[cm + cn + up]
                     if uval > bound:
                         bound = uval
                     for pw in child_ctx.adj_pos[up]:
-                        if clabel[pw][0] > bound:
-                            bound = clabel[pw][0]
+                        if clabel[pw] > bound:
+                            bound = clabel[pw]
                     lo = max(2, 1 + bound)
                     if lo > x_hi:
                         continue
-                    lo = int(lo)
-                    if adj_mask[u_in] & ~seen_mask == 0:
-                        label_opts = [(lo, 0)]
+                    if adj_mask[nbrs[u]] & ~seen_mask == 0:
+                        label_opts = ((lo, 0),)
                     else:
                         label_opts = [(b, 0) for b in range(lo, x_hi + 1)]
-            for lab in label_opts:
-                if lab[0] > eff_cap:
+            for val, val_hat in label_opts:
+                if val > eff_cap:
                     continue
-                cost = ccost + (1 if lab == (0, 0) else 0)
+                origin = 1 if val == 0 else 0
+                cost = ccost + origin
                 if cost > ub:
                     continue
-                for rset in _resolution_sets(
-                    cstate, old_pos, lab, bag_nbrs, hatted_nbrs, u_in
-                ):
-                    if any(v not in rset for v in dying_hatted):
+                x_fields = (val, 0, -NO_CAP)
+                x_hat = val_hat << x_at
+                # Every set of hats x's label can clear, as masks over nbrs.
+                rsets = [0]
+                for k, b in resolvable:
+                    if k != u and val < b:
+                        rsets.extend([r | 1 << k for r in rsets])
+                for rset in rsets:
+                    if must_resolve & ~rset:
                         continue
-                    state = _build_insert_state(
-                        ctx, cstate, old_pos, x, x_at, lab, u_in, rset, edge_src
+                    plan = edge_plans.get((u, rset))
+                    if plan is None:
+                        plan = edge_plans[(u, rset)] = (
+                            tuple(
+                                code_in[k] if k == u else code_out[k] if rset >> k & 1 else EDGE_NONE
+                                for k in range(d)
+                            ),
+                            sum(nbit[k] for k in range(d) if rset >> k & 1),
+                        )
+                    codes, cleared = plan
+                    state = body_of(cstate + codes + x_fields) + (
+                        (hat & ~cleared) | x_hat, inb, out1, out2
                     )
-                    table.offer(state, cost, ("I", cstate))
+                    cur = table.get(state)
+                    if cur is None or cost < cur[0]:
+                        table[state] = (cost, (ci, origin))
     return table
-
-
-def _resolution_sets(cstate, old_pos, lab, bag_nbrs, hatted_nbrs, u_in):
-    """Subsets of hatted bag neighbors whose justification x provides now."""
-    viable = []
-    for v in hatted_nbrs:
-        if v == u_in:
-            continue
-        b = cstate.node_label[old_pos[v]][0]
-        if b == 1:
-            if lab == (0, 0):
-                viable.append(v)
-            continue
-        # x justifies v at time b: everything else around x must fit b - 1.
-        bound = lab[0]
-        for w in bag_nbrs:
-            if w != v and cstate.node_label[old_pos[w]][0] > bound:
-                bound = cstate.node_label[old_pos[w]][0]
-        if b >= 1 + bound:
-            viable.append(v)
-    sets: list[frozenset[int]] = [frozenset()]
-    for v in viable:
-        sets.extend(s | {v} for s in list(sets))
-    return sets
-
-
-def _build_insert_state(ctx, cstate, old_pos, x, x_at, lab, u_in, rset, edge_src):
-    labels = []
-    s_in = []
-    s_out = []
-    s_y = []
-    caps = []
-    for v in ctx.nodes:
-        if v == x:
-            labels.append(lab)
-            s_in.append(0)
-            s_out.append(0)
-            s_y.append(0)
-            caps.append(NO_CAP)
-        else:
-            i = old_pos[v]
-            lv = cstate.node_label[i]
-            if v in rset:
-                lv = (lv[0], 0)
-            labels.append(lv)
-            s_in.append(cstate.in_from_below[i])
-            s_out.append(cstate.out_to_below[i])
-            s_y.append(cstate.below_max[i])
-            caps.append(cstate.pending_cap[i])
-    edges = []
-    for kind, ref, code_in, code_out in edge_src:
-        if kind == "old":
-            edges.append(cstate.edge_state[ref])
-        elif u_in == ref:
-            edges.append(code_in)
-        elif ref in rset:
-            edges.append(code_out)
-        else:
-            edges.append(EDGE_NONE)
-    return BagState(
-        tuple(edges), tuple(labels), tuple(s_in), tuple(s_out), tuple(s_y), tuple(caps)
-    )
 
 
 def _forget_table(
     ctx: BagContext,
     child_ctx: BagContext,
-    child: StateTable,
+    child: dict,
     x: int,
-) -> StateTable:
-    table = StateTable()
+) -> dict:
+    """Back-references are child indices."""
+    table: dict = {}
+    cm, cn = len(child_ctx.edges), len(child_ctx.nodes)
     xi = child_ctx.pos[x]
-    keep = [i for i, v in enumerate(child_ctx.nodes) if v != x]
+    keep = [i for i in range(cn) if i != xi]
+    old_idx = [child_ctx.edges.index(e) for e in ctx.edges]
+    head_of = _picker(old_idx + [cm + i for i in keep])
+    below_of = _picker([cm + cn + i for i in keep])
+    caps_of = _picker([cm + 2 * cn + i for i in keep])
     # x's bag edges: (child edge index, parent position of the other
     # endpoint, child position of it, the code meaning "directed into x").
     x_edges = []
@@ -598,7 +591,6 @@ def _forget_table(
         elif v == x:
             x_edges.append((k, ctx.pos[u], child_ctx.pos[u], EDGE_FWD))
     nbr_child_pos = {p for _, _, p, _ in x_edges}
-    old_idx = [child_ctx.edges.index(e) for e in ctx.edges]
     # Surviving edges whose tail could be a neighbor of x: their heads'
     # deadlines must clear the raised below-maximum.
     watch = [
@@ -606,167 +598,148 @@ def _forget_table(
         for k, (pu, pv) in ((k, child_ctx.edge_pos[k]) for k in old_idx)
         if pu in nbr_child_pos or pv in nbr_child_pos
     ]
-    for cstate, (ccost, _) in child.entries.items():
-        lx, hx = cstate.node_label[xi]
-        if hx:
+    low = (1 << xi) - 1
+    for ci, (cstate, (ccost, _)) in enumerate(child.items()):
+        hat, inb, out1, out2 = cstate[-4:]
+        if hat >> xi & 1:
             continue  # justification can no longer arrive
-        s_in = [cstate.in_from_below[i] for i in keep]
-        s_out = [cstate.out_to_below[i] for i in keep]
-        s_y = [cstate.below_max[i] for i in keep]
-        caps = [cstate.pending_cap[i] for i in keep]
+        hat, inb, out1, out2 = (
+            ((mk >> (xi + 1)) << xi) | (mk & low) for mk in (hat, inb, out1, out2)
+        )
+        lx = cstate[cm + xi]
+        below = list(below_of(cstate))
+        ncaps = list(caps_of(cstate))
         ok = True
         for k, j, _, into_x_code in x_edges:
-            e = cstate.edge_state[k]
+            e = cstate[k]
             if e != EDGE_NONE:
+                bit = 1 << j
                 if e == into_x_code:
-                    s_out[j] = min(2, s_out[j] + 1)
+                    out2 |= out1 & bit
+                    out1 |= bit
                     # For heads past round 1, the deadline binds the tail's
                     # future neighbors, which the in-bag timing rule cannot
                     # see.  A round-1 head needs an origin tail instead, and
                     # origins observe their neighborhoods unconditionally.
-                    if lx >= 2 and lx - 1 < caps[j]:
-                        caps[j] = lx - 1
+                    if lx >= 2 and 1 - lx > ncaps[j]:
+                        ncaps[j] = 1 - lx  # the cap lx - 1, negated
+                elif inb & bit:
+                    ok = False
+                    break
                 else:
-                    s_in[j] += 1
-                    if s_in[j] > 1:
-                        ok = False
-                        break
-            if s_y[j] < lx:
-                s_y[j] = lx
+                    inb |= bit
+            if below[j] < lx:
+                below[j] = lx
         if ok and lx >= 1:
             # x now counts toward its neighbors' below-maxima; heads fed by
             # those neighbors must still clear 1 + lx.
-            clabel = cstate.node_label
             for k, pu, pv in watch:
-                e = cstate.edge_state[k]
+                e = cstate[k]
                 if e == EDGE_NONE:
                     continue
                 pt, ph = (pu, pv) if e == EDGE_FWD else (pv, pu)
                 if pt in nbr_child_pos:
-                    hv = clabel[ph][0]
+                    hv = cstate[cm + ph]
                     if hv > 1 and hv < 1 + lx:
                         ok = False
                         break
         if not ok:
             continue
-        state = BagState(
-            tuple(cstate.edge_state[k] for k in old_idx),
-            tuple(cstate.node_label[i] for i in keep),
-            tuple(s_in),
-            tuple(s_out),
-            tuple(s_y),
-            tuple(caps),
-        )
-        table.offer(state, ccost, ("F", cstate))
+        state = head_of(cstate) + tuple(below) + tuple(ncaps) + (hat, inb, out1, out2)
+        cur = table.get(state)
+        if cur is None or ccost < cur[0]:
+            table[state] = (ccost, ci)
     return table
 
 
 def _join_table(
     ctx: BagContext,
-    left: StateTable,
-    right: StateTable,
+    left: dict,
+    right: dict,
     ub: int,
     adj_mask,
     seen_mask: int,
-) -> StateTable:
-    table = StateTable()
-    n = len(ctx.nodes)
-    future = tuple(adj_mask[v] & ~seen_mask for v in ctx.nodes)
-    rng = range(n)
+) -> dict:
+    """Back-references are (left index, right index)."""
+    table: dict = {}
+    m, n = len(ctx.edges), len(ctx.nodes)
+    head = m + n
     # Bits where no unseen neighbor remains; a hat surviving the join on one
     # of these nodes could never be resolved.
     nofuture = 0
-    for i in rng:
-        if not future[i]:
+    for i, v in enumerate(ctx.nodes):
+        if not adj_mask[v] & ~seen_mask:
             nofuture |= 1 << i
-    # Pre-extract per-state fields so the pair loop touches plain tuples.
-    buckets: dict[tuple, list[tuple]] = {}
-    for s, (rcost, _) in right.entries.items():
-        key = (s.edge_state, tuple(val for val, _ in s.node_label))
-        r_in = 0
-        r_hat = 0
-        for i in rng:
-            if s.in_from_below[i]:
-                r_in |= 1 << i
-            if s.node_label[i][1]:
-                r_hat |= 1 << i
-        buckets.setdefault(key, []).append((
-            s, rcost, r_in, r_hat,
-            s.in_from_below, s.below_max, s.pending_cap, s.out_to_below,
-        ))
+
+    def split(state):
+        """The fields a pairing reads: the per-node tail, its largest
+        below-maximum and smallest cap for a quick cap check, the masks."""
+        tail = state[head:-4]
+        return (tail, max(tail[:n], default=0), -max(tail[n:], default=-NO_CAP), *state[-4:])
+
+    # Right states by orientation and labels, in table order; and, filled
+    # on first use, those of a key within a cost budget below ub.
+    groups: dict[tuple, list] = {}
+    for ri, (s, (rcost, _)) in enumerate(right.items()):
+        groups.setdefault(s[:head], []).append((ri, rcost, *split(s)))
+    within: dict[tuple, list] = {}
     trigger = PRUNE_TRIGGER
-    for ls, (lcost, _) in left.entries.items():
-        if len(table.entries) > trigger:
+    for li, (ls, (lcost, _)) in enumerate(left.items()):
+        if len(table) > trigger:
             _prune_dominated(table, ctx, adj_mask, seen_mask)
-            trigger = max(PRUNE_TRIGGER, 2 * len(table.entries))
-        l_label = ls.node_label
-        key = (ls.edge_state, tuple(val for val, _ in l_label))
-        group = buckets.get(key)
-        if not group:
+            trigger = max(PRUNE_TRIGGER, 2 * len(table))
+        key = ls[:head]
+        group = groups.get(key)
+        if group is None:
             continue
-        zeros = sum(1 for lab in l_label if lab == (0, 0))
+        zeros = key[m:].count(0)
         budget = ub - lcost + zeros
-        l_in_t = ls.in_from_below
-        l_bm = ls.below_max
-        l_cap = ls.pending_cap
-        l_out = ls.out_to_below
-        l_in = 0
-        l_hat = 0
-        for i in rng:
-            if l_in_t[i]:
-                l_in |= 1 << i
-            if l_label[i][1]:
-                l_hat |= 1 << i
-        for rs, rcost, r_in, r_hat, r_in_t, r_bm, r_cap, r_out in group:
-            if rcost > budget:
-                continue
+        if budget < ub:
+            group = within.get((key, budget))
+            if group is None:
+                group = within[key, budget] = [r for r in groups[key] if r[1] <= budget]
+        l_tail, l_top, l_floor, l_hat, l_in, l1, l2 = split(ls)
+        for ri, rcost, r_tail, r_top, r_floor, r_hat, r_in, r1, r2 in group:
             # Each copy of an edge to a forgotten justifier counts once only.
             if l_in & r_in:
                 continue
             hats = l_hat & r_hat
             if hats & nofuture:
                 continue
-            ok = True
-            for i in rng:
-                # What one side buried below must fit the other side's caps.
-                if l_bm[i] > r_cap[i] or r_bm[i] > l_cap[i]:
-                    ok = False
-                    break
-            if not ok:
+            # What one side buried below must fit the other side's caps
+            # (b + c > 0 reads "below-maximum b exceeds the cap -c").
+            if (l_top > r_floor or r_top > l_floor) and (
+                any(b + c > 0 for b, c in zip(l_tail[:n], r_tail[n:]))
+                or any(b + c > 0 for b, c in zip(r_tail[:n], l_tail[n:]))
+            ):
                 continue
-            state = BagState(
-                ls.edge_state,
-                tuple(
-                    lab if (hats >> i) & 1 == lab[1] else (lab[0], 0)
-                    for i, lab in enumerate(l_label)
-                ),
-                tuple(a | b for a, b in zip(l_in_t, r_in_t)),
-                tuple(min(2, a + b) for a, b in zip(l_out, r_out)),
-                tuple(a if a >= b else b for a, b in zip(l_bm, r_bm)),
-                tuple(a if a <= b else b for a, b in zip(l_cap, r_cap)),
-            )
-            table.offer(state, lcost + rcost - zeros, ("J", ls, rs))
+            state = (*key, *map(max, l_tail, r_tail), hats, l_in | r_in, l1 | r1, l2 | r2 | (l1 & r1))
+            cost = lcost + rcost - zeros
+            cur = table.get(state)
+            if cur is None or cost < cur[0]:
+                table[state] = (cost, (li, ri))
     return table
 
 
-def _reconstruct(ntd, tables, contexts, root_state) -> set[int]:
+def _reconstruct(ntd: NiceTreeDecomposition, backs, root_at: int) -> set[int]:
+    """Follow back-references down from the root state at index root_at."""
     witness: set[int] = set()
-    stack = [(ntd.root, root_state)]
+    stack = [(ntd.root, root_at)]
     while stack:
-        i, state = stack.pop()
+        i, at = stack.pop()
         nd = ntd.nodes[i]
-        back = tables[i].entries[state][1]
-        if back[0] == "L":
-            for v, lab in zip(contexts[i].nodes, state.node_label):
-                if lab == (0, 0):
-                    witness.add(v)
-        elif back[0] == "I":
-            if state.node_label[contexts[i].pos[nd.node]] == (0, 0):
+        back = backs[i][at]
+        if nd.kind == "leaf":
+            if back:
+                witness.update(nd.bag)
+        elif nd.kind == "insert":
+            at, origin = back
+            if origin:
                 witness.add(nd.node)
-            stack.append((nd.children[0], back[1]))
-        elif back[0] == "F":
-            stack.append((nd.children[0], back[1]))
+            stack.append((nd.children[0], at))
+        elif nd.kind == "forget":
+            stack.append((nd.children[0], back))
         else:
-            stack.append((nd.children[0], back[1]))
-            stack.append((nd.children[1], back[2]))
+            stack.append((nd.children[0], back[0]))
+            stack.append((nd.children[1], back[1]))
     return witness

@@ -9,6 +9,11 @@ from __future__ import annotations
 from typing import Iterable
 
 
+# Largest node count a graph file may declare; checked on the problem line,
+# before any per-node storage is allocated.
+MAX_NODES = 10**6
+
+
 class GraphFormatError(ValueError):
     """A graph or decomposition file could not be parsed.
 
@@ -147,6 +152,8 @@ def parse_graph(text: str) -> Graph:
                 raise GraphFormatError("non-integer counts in problem line", lineno) from None
             if n < 0 or declared_m < 0:
                 raise GraphFormatError("negative counts in problem line", lineno)
+            if n > MAX_NODES:
+                raise GraphFormatError(f"node count {n} exceeds the limit {MAX_NODES}", lineno)
         elif parts[0] == "e":
             if n is None:
                 raise GraphFormatError("edge line before problem line", lineno)

@@ -4,7 +4,6 @@ to nice (rooted binary Leaf/Insert/Forget/Join) form, and PACE-style file I/O.
 
 from __future__ import annotations
 
-import sys
 from dataclasses import dataclass
 
 from powerdom.graphs import Graph, GraphFormatError
@@ -46,15 +45,6 @@ class TreeDecomposition:
     @property
     def width(self) -> int:
         return max(len(b) for b in self.bags) - 1
-
-    def neighbors(self, i: int) -> list[int]:
-        out = []
-        for a, b in self.tree:
-            if a == i:
-                out.append(b)
-            elif b == i:
-                out.append(a)
-        return sorted(out)
 
 
 def max_bag_edges(g: Graph, td: TreeDecomposition) -> int:
@@ -195,25 +185,13 @@ def to_nice(td: TreeDecomposition) -> NiceTreeDecomposition:
     """Root at bag 0 and normalize: leaves become single-node Leaf bags grown
     by Insert chains, tree edges become Forget-then-Insert splices, and bags
     with several children become chains of equal-bag binary Joins.  Width is
-    preserved and every original bag appears among the nice bags."""
+    preserved and every original bag appears among the nice bags.  The walk
+    visits each tree edge once and is iterative, so depth is no limit."""
     nodes: list[NiceNode] = []
 
     def add(kind: str, bag: frozenset[int], children: tuple[int, ...], node=None) -> int:
         nodes.append(NiceNode(kind, bag, children, node))
         return len(nodes) - 1
-
-    children_of: dict[int, list[int]] = {i: [] for i in range(len(td.bags))}
-    parent = {0: None}
-    order = [0]
-    stack = [0]
-    while stack:
-        i = stack.pop()
-        for j in td.neighbors(i):
-            if j not in parent:
-                parent[j] = i
-                children_of[i].append(j)
-                order.append(j)
-                stack.append(j)
 
     def splice(top: int, from_bag: frozenset[int], to_bag: frozenset[int]) -> int:
         bag = from_bag
@@ -225,27 +203,41 @@ def to_nice(td: TreeDecomposition) -> NiceTreeDecomposition:
             top = add("insert", bag, (top,), x)
         return top
 
-    def build(i: int) -> int:
+    adj: list[list[int]] = [[] for _ in td.bags]
+    for i, j in td.tree:
+        adj[i].append(j)
+        adj[j].append(i)
+    parent: list[int | None] = [None] * len(td.bags)
+    # Children's nice tops, in ascending bag order; a bag is built once all
+    # of its children are, each child spliced in as soon as it is done.
+    tops: list[list[int]] = [[] for _ in td.bags]
+    root = 0
+    stack: list[tuple[int, bool]] = [(0, False)]
+    while stack:
+        i, expanded = stack.pop()
         bag = td.bags[i]
-        kids = children_of[i]
-        tops = [splice(build(j), td.bags[j], bag) for j in kids]
-        if not tops:
+        if not expanded:
+            stack.append((i, True))
+            kids = sorted(j for j in adj[i] if j != parent[i])
+            for j in reversed(kids):
+                parent[j] = i
+                stack.append((j, False))
+            continue
+        if not tops[i]:
             if not bag:
-                return add("leaf", frozenset(), ())
-            first = min(bag)
-            top = add("leaf", frozenset({first}), ())
-            return splice(top, frozenset({first}), bag)
-        top = tops[0]
-        for other in tops[1:]:
-            top = add("join", bag, (top, other))
-        return top
-
-    old = sys.getrecursionlimit()
-    sys.setrecursionlimit(max(old, 4 * len(td.bags) + 100))
-    try:
-        root = build(0)
-    finally:
-        sys.setrecursionlimit(old)
+                top = add("leaf", frozenset(), ())
+            else:
+                first = min(bag)
+                top = splice(add("leaf", frozenset({first}), ()), frozenset({first}), bag)
+        else:
+            top = tops[i][0]
+            for other in tops[i][1:]:
+                top = add("join", bag, (top, other))
+        p = parent[i]
+        if p is None:
+            root = top
+        else:
+            tops[p].append(splice(top, bag, td.bags[p]))
     n_graph = len(set().union(*td.bags)) if td.bags else 0
     assert len(nodes) <= 8 * max(n_graph + len(td.bags), 1), "nice form grew nonlinearly"
     return NiceTreeDecomposition(tuple(nodes), root)

@@ -21,6 +21,26 @@ def star_graph(n: int) -> Graph:
     return Graph(n, [(0, i) for i in range(1, n)])
 
 
+def grid_graph(r: int, c: int) -> Graph:
+    es = []
+    for a in range(r):
+        for b in range(c):
+            v = a * c + b
+            if b + 1 < c:
+                es.append((v, v + 1))
+            if a + 1 < r:
+                es.append((v, v + c))
+    return Graph(r * c, es)
+
+
+def prism_graph(k: int) -> Graph:
+    """C_k x P_2: two k-cycles joined rung by rung."""
+    es = [(i, (i + 1) % k) for i in range(k)]
+    es += [(k + i, k + (i + 1) % k) for i in range(k)]
+    es += [(i, k + i) for i in range(k)]
+    return Graph(2 * k, es)
+
+
 def is_connected(g: Graph) -> bool:
     if g.n == 0:
         return True

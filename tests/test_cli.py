@@ -182,6 +182,16 @@ def test_output_is_deterministic(spider_file, capsys):
     assert payloads[0] == payloads[1]
 
 
+def test_oversized_node_count_is_refused(tmp_path, capsys):
+    # The header alone would have the graph allocate a billion adjacency
+    # lists; it is refused on its own line before anything is built.
+    huge = tmp_path / "huge.gr"
+    huge.write_text("c too many nodes\np edge 1000000000 0\n")
+    code, out, err = run(capsys, "solve", "--ell", "1", "--method", "dp", str(huge))
+    assert code == 2 and out == ""
+    assert "line 2" in err and "1000000000" in err
+
+
 def test_usage_errors(tmp_path, capsys, spider_file):
     # Missing round budget.
     code, _, err = run(capsys, "solve", "--method", "bf", spider_file)

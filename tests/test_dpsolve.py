@@ -6,29 +6,28 @@ import pytest
 from conftest import (
     complete_graph,
     cycle_graph,
+    grid_graph,
     naive_times,
     path_graph,
+    prism_graph,
     random_connected_graph,
     random_graph,
     star_graph,
 )
+from powerdom import dpsolve
 from powerdom.bruteforce import solve_bf
 from powerdom.dpsolve import (
-    _bag_context,
     _greedy_upper_bound,
-    _insert_table,
     _join_table,
-    _leaf_table,
-    _forget_table,
-    _post_order,
+    _tables,
     is_invalid_state,
     solve_dp,
     state_space_size,
 )
-from powerdom.generators import spider
+from powerdom.generators import pendant_cycle, spider
 from powerdom.graphs import Graph
 from powerdom.propagation import is_feasible
-from powerdom.treedecomp import TreeDecomposition, heuristic_td, to_nice
+from powerdom.treedecomp import TreeDecomposition, heuristic_td, to_nice, validate_td
 
 
 def test_state_space_size_examples():
@@ -171,49 +170,140 @@ def test_explicit_decomposition_paths():
         )
 
 
-def test_tables_never_hold_invalid_states():
-    # Rebuild the solver's tables with its own building blocks and audit
-    # every surviving entry against the validity predicate.
-    rng = random.Random(424)
-    for _ in range(12):
-        n = rng.randint(2, 6)
-        g = random_connected_graph(rng, n, 0.5)
-        ell = rng.randint(1, n - 1)
-        targets = frozenset(range(n))
-        ntd = to_nice(heuristic_td(g))
-        ub, _ = _greedy_upper_bound(g, targets, ell)
-        adj_mask = [0] * n
-        for v in range(n):
-            for w in g.adjacency[v]:
-                adj_mask[v] |= 1 << w
-        eb = [ell] * n
-        contexts = [_bag_context(g, nd.bag, targets, ell) for nd in ntd.nodes]
-        seen = [0] * len(ntd.nodes)
-        tables = [None] * len(ntd.nodes)
-        for i in _post_order(ntd):
-            nd = ntd.nodes[i]
-            mask = 0
-            for v in nd.bag:
-                mask |= 1 << v
-            for c in nd.children:
-                mask |= seen[c]
-            seen[i] = mask
-            if nd.kind == "leaf":
-                tables[i] = _leaf_table(contexts[i], ub, adj_mask, mask, eb)
-            elif nd.kind == "insert":
-                tables[i] = _insert_table(
-                    g, contexts[i], contexts[nd.children[0]],
-                    tables[nd.children[0]], nd.node, ub, adj_mask, mask, eb,
-                )
-            elif nd.kind == "forget":
-                tables[i] = _forget_table(
-                    contexts[i], contexts[nd.children[0]],
-                    tables[nd.children[0]], nd.node,
-                )
-            else:
-                tables[i] = _join_table(
-                    contexts[i], tables[nd.children[0]], tables[nd.children[1]],
-                    ub, adj_mask, mask,
-                )
-            for state in tables[i].entries:
-                assert not is_invalid_state(contexts[i], state)
+def test_tables_never_hold_invalid_states(monkeypatch):
+    # Rebuild the solver's tables with its own table builder and audit
+    # every stored entry against the validity predicate, both as the solver
+    # keeps them and with dominance pruning off, so that every state the
+    # transitions generate is audited too.
+    for prune in (True, False):
+        if not prune:
+            monkeypatch.setattr(dpsolve, "_prune_dominated", lambda *args: None)
+        rng = random.Random(424)
+        audited = 0
+        for _ in range(12):
+            n = rng.randint(2, 6)
+            g = random_connected_graph(rng, n, 0.5)
+            ell = rng.randint(1, n - 1)
+            targets = frozenset(range(n))
+            ntd = to_nice(heuristic_td(g))
+            ub, _ = _greedy_upper_bound(g, targets, ell)
+            for _, table, ctx in _tables(g, ntd, targets, ub, [ell] * n):
+                for state in table:
+                    assert not is_invalid_state(ctx, state)
+                audited += len(table)
+        assert audited > 1000
+
+
+def test_join_refuses_two_justifying_edges():
+    # Path a - x - b joined at the bag {x}: a is forgotten below the left
+    # child, b below the right one.  A pairing in which both sides justify x
+    # from below would give x two in-edges.  No optimum depends on this
+    # clause (a pairing in which one side leaves x hatted reaches the same
+    # state at no greater cost), so it is checked on the join itself.
+    g = path_graph(3)
+    td = TreeDecomposition(
+        (frozenset({1}), frozenset({0, 1}), frozenset({1, 2})), ((0, 1), (0, 2))
+    )
+    ntd = to_nice(td)
+    ub = 3
+    built = {i: (t, ctx) for i, t, ctx in _tables(g, ntd, frozenset(range(3)), ub, [2] * 3)}
+    j = ntd.root
+    assert ntd.nodes[j].kind == "join" and ntd.nodes[j].bag == {1}
+    left, right = (built[c][0] for c in ntd.nodes[j].children)
+
+    def justified(t):
+        return {s: v for s, v in t.items() if s[-3] & 1}
+
+    def hatted(t):
+        return {s: v for s, v in t.items() if s[-4] & 1}
+
+    adj_mask = [0b010, 0b101, 0b010]
+    ctx = built[j][1]
+    assert justified(left) and justified(right)
+    assert _join_table(ctx, justified(left), justified(right), ub, adj_mask, 0b111) == {}
+    joined = _join_table(ctx, justified(left), hatted(right), ub, adj_mask, 0b111)
+    assert joined and all(s[-3] == 1 and s[-4] == 0 for s in joined)
+
+
+# Optimum and per-nice-node table sizes (post order, after pruning) on the
+# default decomposition; a change of state layout must leave them as they are.
+TABLE_SIZES = [
+    (grid_graph(3, 3), 1, 3, [
+        2, 6, 13, 13, 46, 114, 2, 6, 13, 13, 46, 114, 157, 108, 144, 2, 6, 13, 13, 25,
+        114, 83, 30, 18, 9]),
+    (grid_graph(3, 4), 2, 2, [
+        3, 14, 57, 227, 3, 9, 35, 35, 95, 599, 3, 14, 35, 35, 179, 594, 796, 590, 903,
+        886, 559, 909, 650, 766, 625, 546, 3, 14, 35, 35, 95, 604, 176, 108, 49, 5]),
+    (pendant_cycle(6), 3, 2, [
+        4, 11, 11, 57, 4, 11, 11, 57, 114, 278, 4, 11, 11, 57, 305, 315, 205, 259, 4,
+        11, 11, 57, 214, 295, 145, 159, 4, 11, 11, 57, 214, 158, 69, 35, 27, 8, 2]),
+    (prism_graph(5), 2, 2, [
+        3, 14, 57, 141, 141, 518, 1416, 1091, 2521, 3, 14, 57, 141, 141, 519, 1275, 3,
+        9, 57, 141, 141, 363, 1425, 4163, 2009, 1080, 601, 36]),
+    (spider(3, 3), 2, 3, [
+        3, 7, 7, 16, 11, 18, 3, 7, 7, 19, 12, 18, 11, 48, 59, 14, 14, 11, 20, 12, 12]),
+    (spider(4, 2), 1, 4, [
+        2, 4, 4, 9, 2, 4, 4, 9, 5, 14, 2, 4, 4, 9, 5, 14, 16, 24, 6, 6, 5, 6]),
+]
+
+
+def test_table_sizes_are_locked():
+    for g, ell, opt, sizes in TABLE_SIZES:
+        stats: dict = {}
+        assert solve_dp(g, range(g.n), ell, stats=stats)[0] == opt
+        assert stats["table_sizes"] == sizes, (g, ell)
+
+
+def random_decomposition(rng, g: Graph) -> TreeDecomposition:
+    """A valid decomposition from a random elimination order, with a few
+    redundant subset bags hung off random bags and a random bag as root."""
+    order = list(range(g.n))
+    rng.shuffle(order)
+    rank = {v: r for r, v in enumerate(order)}
+    nbrs = {v: set(g.adjacency[v]) for v in range(g.n)}
+    bags: list[frozenset[int]] = []
+    for v in order:
+        later = nbrs.pop(v)
+        for a in later:
+            nbrs[a] |= later - {a}
+            nbrs[a].discard(v)
+        bags.append(frozenset(later | {v}))
+    # Bag r hangs off the bag of its first-eliminated later node; bags with
+    # none (one per component) are chained.
+    tree = []
+    tops = []
+    for r, bag in enumerate(bags):
+        later = [rank[w] for w in bag if rank[w] > r]
+        if later:
+            tree.append((r, min(later)))
+        else:
+            tops.append(r)
+    tree.extend(zip(tops, tops[1:]))
+    for _ in range(rng.randint(0, 3)):
+        host = rng.randrange(len(bags))
+        bags.append(frozenset(v for v in bags[host] if rng.random() < 0.5))
+        tree.append((host, len(bags) - 1))
+    perm = list(range(len(bags)))
+    rng.shuffle(perm)
+    placed = [frozenset()] * len(bags)
+    for i, bag in enumerate(bags):
+        placed[perm[i]] = bag
+    return TreeDecomposition(tuple(placed), tuple((perm[a], perm[b]) for a, b in tree))
+
+
+def test_matches_bruteforce_on_random_decompositions():
+    rng = random.Random(8128)
+    kinds = set()
+    for _ in range(1000):
+        n = rng.randint(2, 8)
+        g = random_graph(rng, n, rng.uniform(0.25, 0.7))
+        td = random_decomposition(rng, g)
+        assert validate_td(g, td) is None
+        ntd = to_nice(td)
+        kinds.update(nd.kind for nd in ntd.nodes)
+        ell = rng.randint(1, min(4, n - 1))
+        targets = frozenset(v for v in range(n) if rng.random() < 0.7)
+        opt, witness = solve_dp(g, targets, ell, ntd)
+        assert opt == solve_bf(g, targets, ell)[0], (g.edges, td, sorted(targets), ell)
+        assert len(witness) == opt and is_feasible(g, witness, targets, ell)
+    assert kinds == {"leaf", "insert", "forget", "join"}

@@ -2,7 +2,7 @@ import itertools
 
 import pytest
 
-from conftest import cycle_graph
+from conftest import cycle_graph, grid_graph
 from powerdom.bruteforce import solve_bf
 from powerdom.generators import spider
 from powerdom.graphs import Graph, GraphFormatError, emit_graph
@@ -26,18 +26,6 @@ def two_ring() -> Graph:
         edges.append((8 + i, 8 + (i + 1) % 8))
         edges.append((i, 8 + i))
     return Graph(16, edges)
-
-
-def grid(r: int, c: int) -> Graph:
-    es = []
-    for a in range(r):
-        for b in range(c):
-            v = a * c + b
-            if b + 1 < c:
-                es.append((v, v + 1))
-            if a + 1 < r:
-                es.append((v, v + c))
-    return Graph(r * c, es)
 
 
 def grid_levels(r: int, c: int) -> LevelAssignment:
@@ -136,7 +124,7 @@ def test_ptas_ratio_on_grids():
     for (r, c), ell, eps in [
         ((3, 4), 1, 1), ((3, 4), 2, 1), ((2, 6), 1, 0.5), ((3, 3), 2, 0.5),
     ]:
-        g = grid(r, c)
+        g = grid_graph(r, c)
         lv = grid_levels(r, c)
         assert validate_levels(g, lv) is None
         res = ptas_detailed(g, lv, ell, eps)

@@ -65,32 +65,55 @@ def test_validate_catches_missing_pieces():
     assert validate_td(g, td) is not None
 
 
+def assert_nice_form(td, ntd):
+    """Local nice-form rules, one tree reached from the root, width kept,
+    and every original bag present."""
+    assert ntd.width == td.width
+    for nd in ntd.nodes:
+        if nd.kind == "leaf":
+            assert not nd.children and len(nd.bag) == 1
+        elif nd.kind == "insert":
+            (c,) = nd.children
+            assert nd.bag == ntd.nodes[c].bag | {nd.node}
+            assert nd.node not in ntd.nodes[c].bag
+        elif nd.kind == "forget":
+            (c,) = nd.children
+            assert nd.bag == ntd.nodes[c].bag - {nd.node}
+            assert nd.node in ntd.nodes[c].bag
+        else:
+            a, b = nd.children
+            assert ntd.nodes[a].bag == nd.bag == ntd.nodes[b].bag
+    reached = [ntd.root]
+    for i in reached:
+        reached.extend(ntd.nodes[i].children)
+    assert sorted(reached) == list(range(len(ntd.nodes)))
+    nice_bags = {nd.bag for nd in ntd.nodes}
+    assert all(b in nice_bags for b in td.bags)
+
+
 def test_to_nice_invariants():
     rng = random.Random(29)
     for _ in range(25):
         g = random_connected_graph(rng, rng.randint(1, 8), 0.45)
         td = heuristic_td(g)
         ntd = to_nice(td)
-        assert ntd.width == td.width
         assert validate_td(g, ntd.to_td()) is None
-        root = ntd.nodes[ntd.root]
-        for i, nd in enumerate(ntd.nodes):
-            if nd.kind == "leaf":
-                assert not nd.children and len(nd.bag) == 1
-            elif nd.kind == "insert":
-                (c,) = nd.children
-                assert nd.bag == ntd.nodes[c].bag | {nd.node}
-                assert nd.node not in ntd.nodes[c].bag
-            elif nd.kind == "forget":
-                (c,) = nd.children
-                assert nd.bag == ntd.nodes[c].bag - {nd.node}
-                assert nd.node in ntd.nodes[c].bag
-            else:
-                a, b = nd.children
-                assert ntd.nodes[a].bag == nd.bag == ntd.nodes[b].bag
-        # Every original bag must survive somewhere.
-        nice_bags = {nd.bag for nd in ntd.nodes}
-        assert all(b in nice_bags for b in td.bags)
+        assert_nice_form(td, ntd)
+
+
+def test_to_nice_on_a_deep_path_decomposition():
+    # 60,000 bags in a chain: deep enough to overflow a recursive
+    # conversion, and long enough that a quadratic one never finishes.
+    n = 60_000
+    td = TreeDecomposition(
+        tuple(frozenset({i, i + 1}) for i in range(n)),
+        tuple((i, i + 1) for i in range(n - 1)),
+    )
+    ntd = to_nice(td)
+    assert_nice_form(td, ntd)
+    # One leaf and insert, then a forget and an insert per tree edge.
+    assert len(ntd.nodes) == 2 * n
+    assert ntd.nodes[ntd.root].bag == td.bags[0]
 
 
 def test_max_bag_edges():
