@@ -234,7 +234,8 @@ def _greedy_upper_bound(
     """A feasible solution found greedily, with its size; prunes DP states.
 
     Each step adds the node whose addition observes the most targets,
-    the lowest id among equals.
+    the lowest id among equals.  The chosen set's run is spread once per
+    step, and each candidate re-runs only where its extra origin reaches.
     """
     closed = g.closed_masks()
     tmask = 0
@@ -244,11 +245,20 @@ def _greedy_upper_bound(
     base = 0  # union of the chosen nodes' closed neighborhoods
     covered = 0
     while covered < len(targets):
+        times = [0] * g.n
+        spread(closed, base, ell, times)
+        rounds = [0] * ell  # observed mask after each round of the base run
+        for v, t in enumerate(times):
+            if t:
+                rounds[t - 1] |= 1 << v
+        for r in range(1, ell):
+            rounds[r] |= rounds[r - 1]
         best = None
         for v in range(g.n):
             if chosen >> v & 1:
                 continue
-            hit = (spread(closed, base | closed[v], ell, stop=tmask) & tmask).bit_count()
+            hit = (spread(closed, base | closed[v], ell, stop=tmask, base=rounds)
+                   & tmask).bit_count()
             if best is None or hit > best[0]:
                 best = (hit, v)
         covered, v = best

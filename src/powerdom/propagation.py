@@ -46,6 +46,7 @@ def spread(
     k: int,
     times: list[float] | None = None,
     stop: int = 0,
+    base: list[int] | None = None,
 ) -> int:
     """Observed mask after k rounds whose first round observes `first`.
 
@@ -56,7 +57,18 @@ def spread(
     When `times` is given, times[v] is set to the round v is first
     observed, 1 for every node of `first`.  Stops early once a round adds
     nothing, or once every bit of a nonzero `stop` is observed.
+
+    `base` re-runs a nearby run by its difference: base[i] is the observed
+    mask after round i+1 of a run, to k rounds or to its fixed point, whose
+    first round base[0] is contained in `first`.  By monotonicity every
+    forcing of that run happens here too, so round r+1 starts from base[r]
+    and checks only the observed nodes whose closed neighborhood meets
+    `extra`, the nodes observed here but not in the base run after round r;
+    any other node sees what it saw in the base run.  Once `extra` is empty
+    the base run's masks are the answer.  `times` is not kept in this mode.
     """
+    if base is not None and times is not None:
+        raise ValueError("spread keeps no times when given a base run")
     cur = first
     if times is not None:
         m = first
@@ -67,8 +79,20 @@ def spread(
     check = first
     r = 1
     while r < k and not (stop and cur & stop == stop):
-        free = ~cur
         nxt = cur
+        if base is not None:
+            extra = cur & ~base[min(r, len(base)) - 1]
+            if not extra:
+                tail = base[r - 1:] or base[-1:]
+                return next((b for b in tail if stop and b & stop == stop), tail[-1])
+            check = 0
+            while extra:
+                low = extra & -extra
+                extra ^= low
+                check |= closed[low.bit_length() - 1]
+            check &= cur
+            nxt |= base[min(r, len(base) - 1)]
+        free = ~cur
         m = check
         while m:
             low = m & -m
@@ -81,6 +105,8 @@ def spread(
             break
         r += 1
         cur = nxt
+        if base is not None:
+            continue
         check = 0
         while new:
             low = new & -new

@@ -5,6 +5,7 @@ to nice (rooted binary Leaf/Insert/Forget/Join) form, and PACE-style file I/O.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from heapq import heapify, heappop, heappush
 
 from powerdom.graphs import Graph, GraphFormatError
 
@@ -64,34 +65,31 @@ class TdViolation:
 
 
 def validate_td(g: Graph, td: TreeDecomposition) -> TdViolation | None:
-    """Check the three decomposition properties against g; None if all hold."""
-    union = set()
-    for bag in td.bags:
+    """Check the three decomposition properties against g; None if all hold.
+
+    Linear in the total bag size: each node's holders are collected in one
+    pass, an edge is looked up in the smaller holder set of its ends, and the
+    bags holding v form a subtree iff exactly |holders(v)| - 1 tree edges
+    join two of them.
+    """
+    holders: list[set[int]] = [set() for _ in range(g.n)]
+    for i, bag in enumerate(td.bags):
         for v in bag:
             if not (0 <= v < g.n):
                 return TdViolation("node-range", f"bag node {v} outside 0..{g.n - 1}")
-        union |= bag
-    missing = set(range(g.n)) - union
-    if missing:
-        return TdViolation("node-missing", f"node {min(missing)} is in no bag")
-    for u, v in g.edges:
-        if not any(u in bag and v in bag for bag in td.bags):
-            return TdViolation("edge-uncovered", f"edge ({u}, {v}) is inside no bag")
-    adj: list[list[int]] = [[] for _ in td.bags]
-    for i, j in td.tree:
-        adj[i].append(j)
-        adj[j].append(i)
+            holders[v].add(i)
     for v in range(g.n):
-        holders = {i for i, bag in enumerate(td.bags) if v in bag}
-        start = min(holders)
-        seen = {start}
-        stack = [start]
-        while stack:
-            for j in adj[stack.pop()]:
-                if j in holders and j not in seen:
-                    seen.add(j)
-                    stack.append(j)
-        if seen != holders:
+        if not holders[v]:
+            return TdViolation("node-missing", f"node {v} is in no bag")
+    for u, v in g.edges:
+        if holders[u].isdisjoint(holders[v]):
+            return TdViolation("edge-uncovered", f"edge ({u}, {v}) is inside no bag")
+    inner = [0] * g.n  # tree edges with both ends holding v
+    for i, j in td.tree:
+        for v in td.bags[i] & td.bags[j]:
+            inner[v] += 1
+    for v in range(g.n):
+        if inner[v] != len(holders[v]) - 1:
             return TdViolation(
                 "disconnected", f"bags containing node {v} do not form a subtree"
             )
@@ -104,53 +102,64 @@ def heuristic_td(g: Graph) -> TreeDecomposition:
     Standard construction: eliminating v yields bag {v} + current neighbors,
     which are then made a clique; the bag hangs off the bag of v's first
     eliminated current neighbor.  Disconnected pieces are chained afterward
-    so the result is a single tree.
+    so the result is a single tree.  Fill counts live in a heap and are
+    recounted only where an elimination can change them.
     """
     if g.n == 0:
         return TreeDecomposition((frozenset(),), ())
     nbrs: dict[int, set[int]] = {v: set(g.adjacency[v]) for v in range(g.n)}
+
+    def fill(v: int) -> int:
+        nv = nbrs[v]
+        return sum(1 for a in nv for b in nv if a < b and b not in nbrs[a])
+
+    fills = [fill(v) for v in range(g.n)]
+    heap = [(f, v) for v, f in enumerate(fills)]
+    heapify(heap)
     bags: list[frozenset[int]] = []
     edges: list[tuple[int, int]] = []
-    bag_of: dict[int, int] = {}
-    pending: dict[int, set[int]] = {}
+    # waiters[u]: bags, in ascending index, hanging off u's bag if u is the
+    # first of their other nodes to be eliminated.
+    waiters: list[list[int]] = [[] for _ in range(g.n)]
+    linked = [False] * g.n
     roots: list[int] = []
     while nbrs:
-        best = None
-        for v in sorted(nbrs):
-            nv = nbrs[v]
-            fill = sum(
-                1
-                for a in nv
-                for b in nv
-                if a < b and b not in nbrs[a]
-            )
-            if best is None or fill < best[0]:
-                best = (fill, v)
-                if fill == 0:
-                    break
-        v = best[1]
+        f, v = heappop(heap)
+        if v not in nbrs or fills[v] != f:
+            continue  # stale entry
         nv = nbrs.pop(v)
         idx = len(bags)
         bags.append(frozenset(nv | {v}))
-        bag_of[v] = idx
-        if nv:
-            pending[idx] = set(nv)
-        else:
+        if not nv:
             roots.append(idx)
+        added = [(a, b) for a in nv for b in nv if a < b and b not in nbrs[a]]
         for a in nv:
+            waiters[a].append(idx)
             nbrs[a].discard(v)
-            for b in nv:
-                if a != b:
-                    nbrs[a].add(b)
-        # Attach earlier bags waiting for their first eliminated neighbor.
-        for i, waiting in list(pending.items()):
-            if v in waiting:
+        for a, b in added:
+            nbrs[a].add(b)
+            nbrs[b].add(a)
+        for i in waiters[v]:
+            if not linked[i]:
+                linked[i] = True
                 edges.append((i, idx))
-                del pending[i]
-            # else keep waiting
+        # An added edge closes one missing pair of each node next to both of
+        # its ends; only v's neighbors saw their own neighborhood change.
+        for a, b in added:
+            for w in nbrs[a] & nbrs[b]:
+                if w not in nv:
+                    fills[w] -= 1
+                    heappush(heap, (fills[w], w))
+        for a in nv:
+            # With nothing added, a lost just the pairs of v with its other
+            # neighbors.
+            f = fill(a) if added else fills[a] - (len(nbrs[a]) + 1 - len(nv))
+            if f != fills[a]:
+                fills[a] = f
+                heappush(heap, (f, a))
+    assert len(edges) == len(bags) - len(roots), "every nonempty bag links to a later elimination"
     for extra in roots[1:]:
         edges.append((roots[0], extra))
-    assert not pending, "every nonempty bag links to a later elimination"
     return TreeDecomposition(tuple(bags), tuple(edges))
 
 

@@ -3,6 +3,7 @@
 import math
 
 from powerdom.graphs import Graph
+from powerdom.treedecomp import TreeDecomposition
 
 
 def path_graph(n: int) -> Graph:
@@ -66,6 +67,62 @@ def random_connected_graph(rng, n: int, p: float) -> Graph:
         g = random_graph(rng, n, p)
         if is_connected(g):
             return g
+
+
+def random_tree(rng, n: int) -> Graph:
+    return Graph(n, [(rng.randrange(i), i) for i in range(1, n)])
+
+
+def relabelled(g: Graph, rng) -> Graph:
+    perm = list(range(g.n))
+    rng.shuffle(perm)
+    return Graph(g.n, [(perm[u], perm[v]) for u, v in g.edges])
+
+
+def eliminate(g: Graph, pick) -> tuple[list, list, list]:
+    """Bags of eliminating g's nodes one at a time, `pick(nbrs)` choosing
+    the next node from the remaining graph's adjacency sets.  Returns the
+    bags in elimination order, tree edges (r, s) hanging bag r off the bag
+    of its first-eliminated later node, and the bags with none, one per
+    component, left for the caller to join."""
+    nbrs = {v: set(g.adjacency[v]) for v in range(g.n)}
+    order, bags = [], []
+    while nbrs:
+        v = pick(nbrs)
+        later = nbrs.pop(v)
+        for a in later:
+            nbrs[a] = (nbrs[a] | later) - {a, v}
+        order.append(v)
+        bags.append(frozenset(later | {v}))
+    rank = {v: r for r, v in enumerate(order)}
+    tree, tops = [], []
+    for r, bag in enumerate(bags):
+        later = [rank[w] for w in bag if rank[w] > r]
+        if later:
+            tree.append((r, min(later)))
+        else:
+            tops.append(r)
+    return bags, tree, tops
+
+
+def random_decomposition(rng, g: Graph) -> TreeDecomposition:
+    """A valid decomposition from a random elimination order, with a few
+    redundant subset bags hung off random bags and a random bag as root."""
+    order = list(range(g.n))
+    rng.shuffle(order)
+    it = iter(order)
+    bags, tree, tops = eliminate(g, lambda nbrs: next(it))
+    tree.extend(zip(tops, tops[1:]))
+    for _ in range(rng.randint(0, 3)):
+        host = rng.randrange(len(bags))
+        bags.append(frozenset(v for v in bags[host] if rng.random() < 0.5))
+        tree.append((host, len(bags) - 1))
+    perm = list(range(len(bags)))
+    rng.shuffle(perm)
+    placed = [frozenset()] * len(bags)
+    for i, bag in enumerate(bags):
+        placed[perm[i]] = bag
+    return TreeDecomposition(tuple(placed), tuple((perm[a], perm[b]) for a, b in tree))
 
 
 def naive_times(g: Graph, sources, k: int) -> list[float]:

@@ -11,7 +11,10 @@ from conftest import (
     path_graph,
     prism_graph,
     random_connected_graph,
+    random_decomposition,
     random_graph,
+    random_tree,
+    relabelled,
     star_graph,
 )
 from powerdom import dpsolve
@@ -110,15 +113,37 @@ def _reference_greedy(g, targets, ell):
     return chosen
 
 
-def test_greedy_bound_matches_reference_greedy():
+def _greedy_cases():
     rng = random.Random(1618)
     for _ in range(40):
         n = rng.randint(1, 9)
         g = random_graph(rng, n, rng.uniform(0.1, 0.6))
         ell = rng.randint(1, n)
         targets = frozenset(v for v in range(n) if rng.random() < 0.7) or frozenset({0})
+        yield g, targets, ell
+    # Relabelled paths, spiders and trees of 20-40 nodes with round budgets
+    # up to n, so that the runs the greedy re-spreads last many rounds.
+    rng = random.Random(2718)
+    for i in range(30):
+        n = rng.randint(20, 40)
+        if i % 3 == 0:
+            g = path_graph(n)
+        elif i % 3 == 1:
+            legs = rng.randint(2, 5)
+            g = spider(legs, (n - 1) // legs)
+        else:
+            g = random_tree(rng, n)
+        g = relabelled(g, rng)
+        ell = rng.choice((rng.randint(1, 4), rng.randint(5, g.n // 3), rng.randint(5, g.n)))
+        targets = frozenset(v for v in range(g.n) if rng.random() < 0.8) or frozenset({0})
+        yield g, targets, ell
+
+
+def test_greedy_bound_matches_reference_greedy():
+    for g, targets, ell in _greedy_cases():
         want = _reference_greedy(g, targets, ell)
-        assert _greedy_upper_bound(g, targets, ell) == (len(want), frozenset(want))
+        assert _greedy_upper_bound(g, targets, ell) == (len(want), frozenset(want)), (
+            g.edges, sorted(targets), ell)
 
 
 def test_matches_bruteforce_exhaustive_small():
@@ -252,43 +277,6 @@ def test_table_sizes_are_locked():
         stats: dict = {}
         assert solve_dp(g, range(g.n), ell, stats=stats)[0] == opt
         assert stats["table_sizes"] == sizes, (g, ell)
-
-
-def random_decomposition(rng, g: Graph) -> TreeDecomposition:
-    """A valid decomposition from a random elimination order, with a few
-    redundant subset bags hung off random bags and a random bag as root."""
-    order = list(range(g.n))
-    rng.shuffle(order)
-    rank = {v: r for r, v in enumerate(order)}
-    nbrs = {v: set(g.adjacency[v]) for v in range(g.n)}
-    bags: list[frozenset[int]] = []
-    for v in order:
-        later = nbrs.pop(v)
-        for a in later:
-            nbrs[a] |= later - {a}
-            nbrs[a].discard(v)
-        bags.append(frozenset(later | {v}))
-    # Bag r hangs off the bag of its first-eliminated later node; bags with
-    # none (one per component) are chained.
-    tree = []
-    tops = []
-    for r, bag in enumerate(bags):
-        later = [rank[w] for w in bag if rank[w] > r]
-        if later:
-            tree.append((r, min(later)))
-        else:
-            tops.append(r)
-    tree.extend(zip(tops, tops[1:]))
-    for _ in range(rng.randint(0, 3)):
-        host = rng.randrange(len(bags))
-        bags.append(frozenset(v for v in bags[host] if rng.random() < 0.5))
-        tree.append((host, len(bags) - 1))
-    perm = list(range(len(bags)))
-    rng.shuffle(perm)
-    placed = [frozenset()] * len(bags)
-    for i, bag in enumerate(bags):
-        placed[perm[i]] = bag
-    return TreeDecomposition(tuple(placed), tuple((perm[a], perm[b]) for a, b in tree))
 
 
 def test_matches_bruteforce_on_random_decompositions():

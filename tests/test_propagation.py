@@ -9,7 +9,7 @@ from conftest import cycle_graph, naive_times, path_graph, random_graph
 from powerdom.bruteforce import _covers
 from powerdom.generators import spider
 from powerdom.graphs import Graph
-from powerdom.propagation import INF, is_feasible, propagate
+from powerdom.propagation import INF, is_feasible, propagate, spread
 
 
 def bfs_depth(g: Graph, root: int) -> list[int]:
@@ -132,6 +132,41 @@ def test_every_round_budget_matches_naive_oracle(rnd, n):
         feasible = all(want[v] != INF for v in targets)
         assert is_feasible(g, sources, targets, k) == feasible
         assert _covers(g.closed_masks(), sources, tmask, k) == feasible
+
+
+def _round_masks(closed, first, k, pad):
+    """Observed mask after each round of the plain run from `first`: k of
+    them when `pad`, else only up to the run's fixed point."""
+    times = [0] * len(closed)
+    spread(closed, first, k, times)
+    rounds = [0] * (k if pad else max(times) or 1)
+    for v, t in enumerate(times):
+        if t:
+            rounds[t - 1] |= 1 << v
+    for r in range(1, len(rounds)):
+        rounds[r] |= rounds[r - 1]
+    return rounds
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(0, 2**32), st.integers(1, 14), st.booleans())
+def test_spread_from_a_base_run_matches_plain_spread(seed, n, pad):
+    rnd = random.Random(seed)
+    g = random_graph(rnd, n, rnd.uniform(0.1, 0.6))
+    closed = g.closed_masks()
+    k = rnd.randint(1, n + 1)
+    inner = 0
+    for v in range(n):
+        if rnd.random() < 0.2:
+            inner |= closed[v]
+    first = inner | sum(1 << v for v in range(n) if rnd.random() < 0.1)
+    rounds = _round_masks(closed, inner, k, pad)
+    # A stop met by the base run part-way tests the hand-over to its masks.
+    stops = (0, sum(1 << v for v in range(n) if rnd.random() < 0.5), rnd.choice(rounds))
+    for s in stops:
+        assert spread(closed, first, k, stop=s, base=rounds) == spread(closed, first, k, stop=s)
+    with pytest.raises(ValueError):
+        spread(closed, first, k, [0] * n, base=rounds)
 
 
 def test_long_path_times_are_distances():

@@ -5,8 +5,11 @@ import pytest
 from conftest import (
     complete_graph,
     cycle_graph,
+    eliminate,
     path_graph,
     random_connected_graph,
+    random_decomposition,
+    random_graph,
     star_graph,
 )
 from powerdom.graphs import GraphFormatError
@@ -63,6 +66,113 @@ def test_validate_catches_missing_pieces():
         ((0, 1), (1, 2)),
     )
     assert validate_td(g, td) is not None
+
+
+def _naive_violation(g, td):
+    """The first violated property straight from the definitions, checked
+    in the order node range, nodes, edges, subtrees; None if all hold."""
+    for bag in td.bags:
+        for v in bag:
+            if not 0 <= v < g.n:
+                return ("node-range", f"bag node {v} outside 0..{g.n - 1}")
+    for v in range(g.n):
+        if not any(v in bag for bag in td.bags):
+            return ("node-missing", f"node {v} is in no bag")
+    for u, v in g.edges:
+        if not any(u in bag and v in bag for bag in td.bags):
+            return ("edge-uncovered", f"edge ({u}, {v}) is inside no bag")
+    for v in range(g.n):
+        holders = {i for i, bag in enumerate(td.bags) if v in bag}
+        reached = {min(holders)}
+        grew = True
+        while grew:
+            grew = False
+            for i, j in td.tree:
+                if i in holders and j in holders and (i in reached) != (j in reached):
+                    reached |= {i, j}
+                    grew = True
+        if reached != holders:
+            return ("disconnected", f"bags containing node {v} do not form a subtree")
+    return None
+
+
+def _verdict(g, td):
+    bad = validate_td(g, td)
+    return None if bad is None else (bad.kind, bad.detail)
+
+
+def _broken(rng, g, td):
+    """td with one random fault: a node dropped from or added to a bag, an
+    out-of-range node, or a tree edge moved to reconnect the two halves
+    elsewhere."""
+    bags = list(td.bags)
+    tree = list(td.tree)
+    fault = rng.choice(("drop", "add", "range", "rewire"))
+    i = rng.randrange(len(bags))
+    if fault == "drop" and bags[i]:
+        bags[i] = bags[i] - {rng.choice(sorted(bags[i]))}
+    elif fault == "add":
+        bags[i] = bags[i] | {rng.randrange(g.n)}
+    elif fault == "range":
+        bags[i] = bags[i] | {rng.choice((-1, g.n))}
+    elif tree:
+        tree.pop(rng.randrange(len(tree)))
+        side = {0}
+        for _ in bags:
+            side |= {b for a, b in tree if a in side} | {a for a, b in tree if b in side}
+        other = [j for j in range(len(bags)) if j not in side]
+        tree.append((rng.choice(sorted(side)), rng.choice(other)))
+    return TreeDecomposition(tuple(bags), tuple(tree))
+
+
+def test_validate_matches_naive_reference():
+    rng = random.Random(31)
+    kinds = set()
+    for _ in range(400):
+        g = random_graph(rng, rng.randint(1, 9), rng.uniform(0.2, 0.7))
+        td = random_decomposition(rng, g)
+        assert validate_td(g, td) is None
+        for _ in range(rng.randint(1, 2)):
+            td = _broken(rng, g, td)
+        want = _naive_violation(g, td)
+        assert _verdict(g, td) == want, (g.edges, td)
+        kinds.add(want and want[0])
+    assert kinds == {None, "node-range", "node-missing", "edge-uncovered", "disconnected"}
+
+
+def test_validate_on_a_long_path_decomposition():
+    n = 60_000
+    g = path_graph(n + 1)
+    bags = [frozenset({i, i + 1}) for i in range(n)]
+    tree = tuple((i, i + 1) for i in range(n - 1))
+    assert validate_td(g, TreeDecomposition(tuple(bags), tree)) is None
+    bags[-1] = bags[-1] | {0}
+    assert _verdict(g, TreeDecomposition(tuple(bags), tree)) == (
+        "disconnected", "bags containing node 0 do not form a subtree")
+
+
+def _reference_min_fill(g):
+    """Plain min-fill elimination, least (fill, id) first, tree edges
+    listed by parent then child, and the bags of lone components hung off
+    the first of them."""
+
+    def least_fill(nbrs):
+        def fill(v):
+            return sum(1 for a in nbrs[v] for b in nbrs[v] if a < b and b not in nbrs[a])
+
+        return min(nbrs, key=lambda v: (fill(v), v))
+
+    bags, tree, tops = eliminate(g, least_fill)
+    tree.sort(key=lambda e: (e[1], e[0]))
+    tree += [(tops[0], r) for r in tops[1:]]
+    return TreeDecomposition(tuple(bags), tuple(tree))
+
+
+def test_heuristic_matches_reference_min_fill():
+    rng = random.Random(37)
+    for _ in range(150):
+        g = random_graph(rng, rng.randint(1, 25), rng.choice((0.05, 0.15, 0.3, 0.6)))
+        assert heuristic_td(g) == _reference_min_fill(g), g.edges
 
 
 def assert_nice_form(td, ntd):
