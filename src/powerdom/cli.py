@@ -6,7 +6,8 @@ whole experiments.  Outputs are deterministic byte for byte, except for
 the elapsed-time field of --json results.
 
 Exit codes: 0 success, 1 infeasible or violated results, 2 usage and
-input-parsing errors.
+input-parsing errors, 3 internal errors (a solver's result failed its own
+check).
 """
 
 from __future__ import annotations
@@ -398,6 +399,9 @@ def main(argv: list[str] | None = None) -> int:
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except RuntimeError as exc:
+        print(f"error: internal error: {exc}", file=sys.stderr)
+        return 3
     except BrokenPipeError:
         return 0
 

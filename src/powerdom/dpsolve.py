@@ -200,9 +200,12 @@ def _prune_dominated(table: dict, ctx: BagContext, adj_mask, seen_mask: int) -> 
         *range(m + 2 * n, m + 3 * n),  # negated caps
         *(m + n + i for i in range(n) if not is_open[i]),
     ])
+    keys = list(map(key_of, table))
+    if len(set(keys)) == len(keys):
+        return  # no two states share a key, so none is compared
     buckets: dict[tuple, list] = {}
-    for state in table:
-        buckets.setdefault(key_of(state), []).append(state)
+    for key, state in zip(keys, table):
+        buckets.setdefault(key, []).append(state)
     dead: list[tuple] = []
     for group in buckets.values():
         if len(group) < 2:
@@ -244,15 +247,17 @@ def _greedy_upper_bound(
     chosen = 0
     base = 0  # union of the chosen nodes' closed neighborhoods
     covered = 0
+    rounds = None  # observed mask after each round of the base run
     while covered < len(targets):
-        times = [0] * g.n
-        spread(closed, base, ell, times)
-        rounds = [0] * ell  # observed mask after each round of the base run
-        for v, t in enumerate(times):
-            if t:
-                rounds[t - 1] |= 1 << v
-        for r in range(1, ell):
-            rounds[r] |= rounds[r - 1]
+        if ell > 1:  # one round is the first round alone, with nothing to re-run
+            times = [0] * g.n
+            spread(closed, base, ell, times)
+            rounds = [0] * ell
+            for v, t in enumerate(times):
+                if t:
+                    rounds[t - 1] |= 1 << v
+            for r in range(1, ell):
+                rounds[r] |= rounds[r - 1]
         best = None
         for v in range(g.n):
             if chosen >> v & 1:
@@ -265,6 +270,36 @@ def _greedy_upper_bound(
         chosen |= 1 << v
         base |= closed[v]
     return chosen.bit_count(), frozenset(v for v in range(g.n) if chosen >> v & 1)
+
+
+def _label_bounds(g: Graph, targets: frozenset[int], ell: int) -> list[int]:
+    """Per node, the highest label a state needs to give it.
+
+    Observation times only drop as origins are added, so no node is ever
+    claimed later than under the slowest single origin; and if no single
+    origin suffices, solutions hold two or more, so the second-slowest
+    singleton time bounds the claim too.  Bounds clamp at ell, so each
+    singleton run stops after ell rounds: a node it leaves unobserved is
+    bounded by ell either way.  On dense graphs this collapses the search.
+    """
+    first = [0.0] * g.n
+    second = [0.0] * g.n
+    lone_origin_works = False
+    closed = g.closed_masks()
+    for u in range(g.n):
+        times = [INF] * g.n
+        spread(closed, closed[u], ell, times)
+        times[u] = 0
+        if not lone_origin_works:
+            lone_origin_works = all(times[v] <= ell for v in targets)
+        for v, t in enumerate(times):
+            if t > first[v]:
+                second[v] = first[v]
+                first[v] = t
+            elif t > second[v]:
+                second[v] = t
+    val_bound = first if (lone_origin_works or g.n < 2) else second
+    return [int(min(b, ell)) for b in val_bound]
 
 
 def solve_dp(
@@ -306,29 +341,7 @@ def solve_dp(
         # Targets are nonempty, so nothing beats a singleton; the greedy
         # witness is already optimal and the table machinery can rest.
         return (1, greedy_set)
-    # Observation times only drop as origins are added, so no node is ever
-    # claimed later than under the slowest single origin; and if no single
-    # origin suffices, solutions hold two or more, so the second-slowest
-    # singleton time bounds the claim too.  Caps label values per node; on
-    # dense graphs it collapses the search.
-    first = [0.0] * g.n
-    second = [0.0] * g.n
-    lone_origin_works = False
-    closed = g.closed_masks()
-    for u in range(g.n):
-        times = [INF] * g.n
-        spread(closed, closed[u], g.n, times)
-        times[u] = 0
-        if not lone_origin_works:
-            lone_origin_works = all(times[v] <= ell for v in targets)
-        for v, t in enumerate(times):
-            if t > first[v]:
-                second[v] = first[v]
-                first[v] = t
-            elif t > second[v]:
-                second[v] = t
-    val_bound = first if (lone_origin_works or g.n < 2) else second
-    eb = [int(min(b, ell)) for b in val_bound]
+    eb = _label_bounds(g, targets, ell)
 
     # Each table is replaced by its back-references once built; the states
     # live on only until the parent's table is done.
@@ -367,6 +380,18 @@ def _post_order(ntd: NiceTreeDecomposition) -> list[int]:
     return out
 
 
+def _insert_may_dominate(adj_mask, bag, x: int, seen_mask: int) -> bool:
+    """Can the table of inserting x into bag hold dominated states, given a
+    child table that holds none?
+
+    Only if x is the last unseen neighbor of a bag neighbor of x, whose
+    below-maximum then leaves the dominance key for the compared vector.
+    Otherwise a parent key and vector are the child's plus x's fields, which
+    are equal whenever the keys are, so dominance carries over unchanged.
+    """
+    return any(adj_mask[v] & ~seen_mask == 0 for v in bag if adj_mask[x] >> v & 1)
+
+
 def _tables(g: Graph, ntd: NiceTreeDecomposition, targets: frozenset[int], ub: int, eb):
     """Build every nice node's pruned table bottom-up, yielding (node index,
     table, bag context) as each is done, the root's last.  A child's table
@@ -378,6 +403,7 @@ def _tables(g: Graph, ntd: NiceTreeDecomposition, targets: frozenset[int], ub: i
     contexts: list[BagContext | None] = [None] * len(ntd.nodes)
     seen: list[int] = [0] * len(ntd.nodes)
     tables: list[dict | None] = [None] * len(ntd.nodes)
+    plans: dict = {}
     for i in _post_order(ntd):
         nd = ntd.nodes[i]
         ctx = contexts[i] = _bag_context(g, nd.bag, targets)
@@ -392,7 +418,7 @@ def _tables(g: Graph, ntd: NiceTreeDecomposition, targets: frozenset[int], ub: i
         elif nd.kind == "insert":
             c = nd.children[0]
             table = _insert_table(
-                g, ctx, contexts[c], tables[c], nd.node, ub, adj_mask, mask, eb
+                g, ctx, contexts[c], tables[c], nd.node, ub, adj_mask, mask, eb, plans
             )
         elif nd.kind == "forget":
             c = nd.children[0]
@@ -400,7 +426,8 @@ def _tables(g: Graph, ntd: NiceTreeDecomposition, targets: frozenset[int], ub: i
         else:
             a, b = nd.children
             table = _join_table(ctx, tables[a], tables[b], ub, adj_mask, mask)
-        _prune_dominated(table, ctx, adj_mask, mask)
+        if nd.kind != "insert" or _insert_may_dominate(adj_mask, nd.bag, nd.node, mask):
+            _prune_dominated(table, ctx, adj_mask, mask)
         for c in nd.children:
             tables[c] = None
         tables[i] = table
@@ -436,14 +463,26 @@ def _insert_table(
     adj_mask,
     seen_mask: int,
     eb,
+    plans: dict,
 ) -> dict:
-    """Back-references are (child index, 1 when x is an origin)."""
+    """Back-references are (child index, 1 when x is an origin).
+
+    A child state's outputs depend on it only through a short signature:
+    the labels and hats of x's bag neighbors, the tightest cap on x's label,
+    the least label each neighbor could justify x with, and whether one
+    more origin fits under ub.  `plans`, which lives for one solve, maps a
+    signature plus the table constants the outputs read to those outputs,
+    each as (x's edge codes and fields, hats kept, x's hat, origin flag).
+    Distinct outputs differ in x's fields or edge codes, and those codes
+    tell which hats were cleared, so no two (state, output) pairs collide.
+    """
     table: dict = {}
     cm, cn = len(child_ctx.edges), len(child_ctx.nodes)
     nbrs = tuple(v for v in ctx.nodes if v != x and g.has_edge(x, v))
     d = len(nbrs)
     npos = tuple(child_ctx.pos[v] for v in nbrs)
     nbit = tuple(1 << ctx.pos[v] for v in nbrs)
+    nmask = sum(nbit)
     # x's bag edges in parent order run along nbrs; codes for "the k-th
     # neighbor -> x" and "x -> the k-th neighbor".
     code_in = tuple(EDGE_FWD if v < x else EDGE_REV for v in nbrs)
@@ -460,120 +499,103 @@ def _insert_table(
     body_of = _picker(picks)
     nbr_labels = _picker([cm + p for p in npos])
     nbr_caps = _picker([cm + 2 * cn + p for p in npos])
-    # Child directed edges whose tail will neighbor x: x's label joins those
-    # tails' neighborhoods, so the heads' deadlines cap it.
+    # Child directed edges whose tail will neighbor x, as (edge index, the
+    # code pointing away from that tail, the head's label field): x's label
+    # joins the tail's neighborhood, so the head's deadline caps it.
     nbr_child_pos = frozenset(npos)
     tail_watch = [
-        (k, pu, pv)
+        (k, code, cm + ph)
         for k, (pu, pv) in enumerate(child_ctx.edge_pos)
-        if pu in nbr_child_pos or pv in nbr_child_pos
+        for code, pt, ph in ((EDGE_FWD, pu, pv), (EDGE_REV, pv, pu))
+        if pt in nbr_child_pos
     ]
+    # Per neighbor, what it has seen: its below-maximum, its label and its
+    # bag neighbors' labels.  Justifying x at time b needs b >= 1 + all that.
+    seen_of = [
+        _picker([cm + cn + p, cm + p, *(cm + pw for pw in child_ctx.adj_pos[p])]) for p in npos
+    ]
+    x_at = ctx.pos[x]
+    x_hi = eb[x]
     x_has_future = bool(adj_mask[x] & ~seen_mask)
-    # Hatted neighbors of x that run out of potential justifiers once x is
-    # placed must be resolved by x itself.
-    dying = tuple(k for k, v in enumerate(nbrs) if adj_mask[v] & ~seen_mask == 0)
+    # Neighbors for which x is the last unseen neighbor: their hats must be
+    # resolved by x itself, and if one justifies x, x's label is exact.
+    dying = sum(b for b, v in zip(nbit, nbrs) if adj_mask[v] & ~seen_mask == 0)
     none_opts: list[tuple[int, int]] = [(0, 0)]
     if x not in ctx.targets:
         none_opts.append((UNOBSERVED, 0))
     if x_has_future:
-        none_opts.extend((a, 1) for a in range(1, eb[x] + 1))
-    x_at = ctx.pos[x]
-    low = (1 << x_at) - 1
-    x_hi = eb[x]
-    # Per (justifier, resolved set): x's edge codes and the hats they clear.
-    edge_plans: dict[tuple[int, int], tuple[tuple, int]] = {}
-    trigger = PRUNE_TRIGGER
+        none_opts.extend((a, 1) for a in range(1, x_hi + 1))
+    # The table constants of a plan key.  Everything else the outputs read
+    # follows from these; x's edge codes from the positions, since bag
+    # positions follow node ids.
+    consts = (nmask, x_at, x_hi, x in ctx.targets, x_has_future, dying)
 
+    def outputs(hats, eff_cap, origin_fits, nlab, seen):
+        out = []
+        # Hatted neighbors x could justify now, with their labels b.  x's
+        # own label must be below b (checked per label below; for b = 1 x is
+        # an origin), and for b > 1 every other neighbor of x's label too.
+        resolvable = [
+            (k, b)
+            for k, b in enumerate(nlab)
+            if hats & nbit[k] and (b == 1 or all(lw < b for w, lw in enumerate(nlab) if w != k))
+        ]
+        for u in (-1, *(k for k in range(d) if nlab[k] != UNOBSERVED)):
+            if u < 0:
+                label_opts = none_opts
+            elif nlab[u] == 0:
+                label_opts = ((1, 0),)
+            else:
+                # Exactly the least label once u has nothing left to see.
+                lo = max(2, 1 + seen[u])
+                top = min(lo, x_hi) if dying & nbit[u] else x_hi
+                label_opts = [(b, 0) for b in range(lo, top + 1)]
+            for val, val_hat in label_opts:
+                if val > eff_cap or (val == 0 and not origin_fits):
+                    continue
+                # Every set of hats x's label can clear, as parent masks.
+                rsets = [0]
+                for k, b in resolvable:
+                    if k != u and val < b:
+                        rsets.extend([r | nbit[k] for r in rsets])
+                for rset in rsets:
+                    if dying & hats & ~rset:
+                        continue
+                    codes = tuple(
+                        code_in[k] if k == u else code_out[k] if rset & nbit[k] else EDGE_NONE
+                        for k in range(d)
+                    )
+                    out.append((codes + (val, 0, -NO_CAP), ~rset, val_hat << x_at, int(val == 0)))
+        return out
+
+    low = (1 << x_at) - 1
+    up = x_at + 1
+    trigger = PRUNE_TRIGGER
     for ci, (cstate, (ccost, _)) in enumerate(child.items()):
         if len(table) > trigger:
             _prune_dominated(table, ctx, adj_mask, seen_mask)
             trigger = max(PRUNE_TRIGGER, 2 * len(table))
-        clabel = cstate[cm : cm + cn]
-        nlab = nbr_labels(cstate)
         # Tightest bound x's label must respect from caps and in-bag heads.
         eff_cap = -max(nbr_caps(cstate), default=-NO_CAP)
-        for k, pu, pv in tail_watch:
-            e = cstate[k]
-            if e == EDGE_NONE:
-                continue
-            pt, ph = (pu, pv) if e == EDGE_FWD else (pv, pu)
-            if pt in nbr_child_pos:
-                hv = clabel[ph]
-                if hv > 1 and hv - 1 < eff_cap:
+        for k, code, head in tail_watch:
+            if cstate[k] == code:
+                hv = cstate[head]
+                if 1 < hv <= eff_cap:
                     eff_cap = hv - 1
         # The child's masks with a clear bit opened at x's position.
-        hat, inb, out1, out2 = (
-            ((mk >> x_at) << (x_at + 1)) | (mk & low) for mk in cstate[-4:]
-        )
-        must_resolve = sum(1 << k for k in dying if hat & nbit[k])
-        # Hatted neighbors x could justify now, with their labels b.  x's
-        # own label must be below b (checked per label below; for b = 1 x is
-        # an origin), and for b > 1 every other neighbor of x's label too.
-        resolvable = []
-        for k in range(d):
-            if hat & nbit[k]:
-                b = nlab[k]
-                if b == 1 or all(lw < b for w, lw in enumerate(nlab) if w != k):
-                    resolvable.append((k, b))
-        in_choices = [-1]
-        in_choices.extend(k for k in range(d) if nlab[k] != UNOBSERVED)
-        for u in in_choices:
-            if u < 0:
-                label_opts = none_opts
-            else:
-                up = npos[u]
-                uval = nlab[u]
-                if uval == 0:
-                    label_opts = ((1, 0),)
-                else:
-                    # Justifying x at time b needs b >= 1 + (everything the
-                    # tail has seen); exactly that once nothing is left.
-                    bound = cstate[cm + cn + up]
-                    if uval > bound:
-                        bound = uval
-                    for pw in child_ctx.adj_pos[up]:
-                        if clabel[pw] > bound:
-                            bound = clabel[pw]
-                    lo = max(2, 1 + bound)
-                    if lo > x_hi:
-                        continue
-                    if adj_mask[nbrs[u]] & ~seen_mask == 0:
-                        label_opts = ((lo, 0),)
-                    else:
-                        label_opts = [(b, 0) for b in range(lo, x_hi + 1)]
-            for val, val_hat in label_opts:
-                if val > eff_cap:
-                    continue
-                origin = 1 if val == 0 else 0
-                cost = ccost + origin
-                if cost > ub:
-                    continue
-                x_fields = (val, 0, -NO_CAP)
-                x_hat = val_hat << x_at
-                # Every set of hats x's label can clear, as masks over nbrs.
-                rsets = [0]
-                for k, b in resolvable:
-                    if k != u and val < b:
-                        rsets.extend([r | 1 << k for r in rsets])
-                for rset in rsets:
-                    if must_resolve & ~rset:
-                        continue
-                    plan = edge_plans.get((u, rset))
-                    if plan is None:
-                        plan = edge_plans[(u, rset)] = (
-                            tuple(
-                                code_in[k] if k == u else code_out[k] if rset >> k & 1 else EDGE_NONE
-                                for k in range(d)
-                            ),
-                            sum(nbit[k] for k in range(d) if rset >> k & 1),
-                        )
-                    codes, cleared = plan
-                    state = body_of(cstate + codes + x_fields) + (
-                        (hat & ~cleared) | x_hat, inb, out1, out2
-                    )
-                    cur = table.get(state)
-                    if cur is None or cost < cur[0]:
-                        table[state] = (cost, (ci, origin))
+        hat, inb, out1, out2 = cstate[-4:]
+        hat = hat >> x_at << up | hat & low
+        inb = inb >> x_at << up | inb & low
+        out1 = out1 >> x_at << up | out1 & low
+        out2 = out2 >> x_at << up | out2 & low
+        sig = (hat & nmask, eff_cap, ccost < ub, nbr_labels(cstate),
+               tuple([max(f(cstate)) for f in seen_of]))
+        plan = plans.get((consts, sig))
+        if plan is None:
+            plan = plans[consts, sig] = outputs(*sig)
+        for tail, keep, x_hat, origin in plan:
+            table[body_of(cstate + tail) + (hat & keep | x_hat, inb, out1, out2)] = (
+                ccost + origin, (ci, origin))
     return table
 
 
@@ -609,13 +631,15 @@ def _forget_table(
         if pu in nbr_child_pos or pv in nbr_child_pos
     ]
     low = (1 << xi) - 1
+    up = xi + 1
     for ci, (cstate, (ccost, _)) in enumerate(child.items()):
         hat, inb, out1, out2 = cstate[-4:]
         if hat >> xi & 1:
             continue  # justification can no longer arrive
-        hat, inb, out1, out2 = (
-            ((mk >> (xi + 1)) << xi) | (mk & low) for mk in (hat, inb, out1, out2)
-        )
+        hat = hat >> up << xi | hat & low
+        inb = inb >> up << xi | inb & low
+        out1 = out1 >> up << xi | out1 & low
+        out2 = out2 >> up << xi | out2 & low
         lx = cstate[cm + xi]
         below = list(below_of(cstate))
         ncaps = list(caps_of(cstate))

@@ -3,6 +3,7 @@ import json
 
 import pytest
 
+from powerdom import cli
 from powerdom.cli import main
 from powerdom.graphs import parse_graph
 from powerdom.propagation import is_feasible
@@ -211,3 +212,16 @@ def test_usage_errors(tmp_path, capsys, spider_file):
     assert code == 2
     code, _, err = run(capsys, "emit-ip", "ordering", spider_file, "--ell", "2")
     assert code == 2
+
+
+def test_internal_errors_exit_3(spider_file, capsys, monkeypatch):
+    # A solver's failed self-check is neither a usage error (2) nor an
+    # infeasible result (1): one stderr line and exit code 3.
+    def broken(*args, **kwargs):
+        raise RuntimeError("witness reconstruction failed")
+
+    monkeypatch.setattr(cli, "solve_dp", broken)
+    code, out, err = run(capsys, "solve", "--ell", "2", spider_file)
+    assert code == 3
+    assert out == ""
+    assert err == "error: internal error: witness reconstruction failed\n"

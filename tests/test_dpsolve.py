@@ -2,6 +2,8 @@ import random
 from math import inf as INF
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import (
     complete_graph,
@@ -21,7 +23,10 @@ from powerdom import dpsolve
 from powerdom.bruteforce import solve_bf
 from powerdom.dpsolve import (
     _greedy_upper_bound,
+    _insert_may_dominate,
     _join_table,
+    _label_bounds,
+    _prune_dominated,
     _tables,
     is_invalid_state,
     solve_dp,
@@ -295,3 +300,105 @@ def test_matches_bruteforce_on_random_decompositions():
         assert opt == solve_bf(g, targets, ell)[0], (g.edges, td, sorted(targets), ell)
         assert len(witness) == opt and is_feasible(g, witness, targets, ell)
     assert kinds == {"leaf", "insert", "forget", "join"}
+
+
+def _reference_label_bounds(g, targets, ell):
+    """min(ell, the slowest singleton time) per node, or the second slowest
+    unless one origin alone observes every target within ell rounds; every
+    singleton run taken to its fixed point by the naive oracle."""
+    runs = [naive_times(g, {u}, g.n) for u in range(g.n)]
+    lone = g.n < 2 or any(all(t[v] <= ell for v in targets) for t in runs)
+    bounds = []
+    for v in range(g.n):
+        slow = sorted((t[v] for t in runs), reverse=True)
+        bounds.append(int(min(slow[0] if lone else slow[1], ell)))
+    return bounds
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(0, 2**32), st.integers(1, 14))
+def test_label_bounds_match_fixed_point_reference(seed, n):
+    rnd = random.Random(seed)
+    if rnd.random() < 0.5:
+        g = random_tree(rnd, n)  # long runs, most of them past ell
+    else:
+        g = random_graph(rnd, n, rnd.uniform(0.1, 0.6))
+    targets = frozenset(v for v in range(n) if rnd.random() < 0.7) or frozenset({0})
+    for ell in range(1, max(2, n)):
+        assert _label_bounds(g, targets, ell) == _reference_label_bounds(g, targets, ell)
+
+
+def _table_cases():
+    """The instances whose table sizes are locked, random decompositions of
+    small random graphs, and relabelled 3x5 grids: (graph, targets, ell,
+    nice decomposition).  Random decompositions with bags of five or more
+    nodes are drawn again: a few of those take seconds each."""
+    for g, ell, _, _ in TABLE_SIZES:
+        yield g, frozenset(range(g.n)), ell, to_nice(heuristic_td(g))
+    rng = random.Random(1729)
+    for _ in range(300):
+        while True:
+            n = rng.randint(2, 9)
+            g = random_graph(rng, n, rng.uniform(0.25, 0.7))
+            td = random_decomposition(rng, g)
+            if max(map(len, td.bags)) <= 4:
+                break
+        ell = rng.randint(1, min(4, n - 1))
+        targets = frozenset(v for v in range(n) if rng.random() < 0.7) or frozenset({0})
+        yield g, targets, ell, to_nice(td)
+    for _ in range(3):
+        g = relabelled(grid_graph(3, 5), rng)
+        yield g, frozenset(range(g.n)), 2, to_nice(heuristic_td(g))
+
+
+def _solver_tables(g, targets, ell, ntd):
+    """(node index, table, context) of every nice node, as solve_dp builds them."""
+    ub, _ = _greedy_upper_bound(g, targets, ell)
+    return list(_tables(g, ntd, targets, ub, _label_bounds(g, targets, ell)))
+
+
+class _PlanStoreThatForgets(dict):
+    """A plan store in which every lookup misses."""
+
+    def get(self, key, default=None):
+        return default
+
+
+def test_insert_plans_match_outputs_computed_afresh(monkeypatch):
+    # Reusing an insert plan across states and tables must give exactly the
+    # tables that computing every state's outputs afresh gives: a plan key
+    # missing something its outputs read would hand one state another's.
+    insert_table = dpsolve._insert_table
+    inserts = 0
+    for g, targets, ell, ntd in _table_cases():
+        planned = _solver_tables(g, targets, ell, ntd)
+        with monkeypatch.context() as m:
+            m.setattr(dpsolve, "_insert_table",
+                      lambda *args: insert_table(*args[:-1], _PlanStoreThatForgets()))
+            fresh = _solver_tables(g, targets, ell, ntd)
+        assert len(planned) == len(fresh)
+        for (i, table, _), (j, want, _) in zip(planned, fresh):
+            assert i == j and list(table.items()) == list(want.items()), (g.edges, ell, i)
+        inserts += sum(1 for i, _, _ in planned if ntd.nodes[i].kind == "insert")
+    assert inserts > 1500
+
+
+def test_skipped_dominance_sweeps_would_remove_nothing():
+    # Where the solver skips the sweep after an insert, the table it keeps
+    # must already be free of dominated states.
+    skipped = 0
+    for g, targets, ell, ntd in _table_cases():
+        adj_mask = [sum(1 << w for w in g.adjacency[v]) for v in range(g.n)]
+        seen = [0] * len(ntd.nodes)
+        for i, table, ctx in _solver_tables(g, targets, ell, ntd):
+            nd = ntd.nodes[i]
+            seen[i] = sum(1 << v for v in nd.bag)
+            for c in nd.children:
+                seen[i] |= seen[c]
+            if nd.kind != "insert" or _insert_may_dominate(adj_mask, nd.bag, nd.node, seen[i]):
+                continue
+            swept = dict(table)
+            _prune_dominated(swept, ctx, adj_mask, seen[i])
+            assert swept == table, (g.edges, ell, i)
+            skipped += 1
+    assert skipped > 1000
