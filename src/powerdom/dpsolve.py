@@ -314,9 +314,10 @@ def solve_dp(
 
     ntd defaults to the nice form of a min-fill heuristic decomposition and
     is validated against g otherwise.  ell is clamped to n-1, beyond which
-    one more round can never help.  Returns (optimum, witness set).  When a
-    dict is passed as stats it receives per-bag table sizes and the greedy
-    upper bound, for reporting.
+    one more round can never help.  Returns (optimum, witness set); the
+    witness is the greedy set when nothing smaller exists.  When a dict is
+    passed as stats it receives the greedy upper bound and per-bag table
+    sizes, an empty list when no tables were needed.
     """
     targets = frozenset(targets)
     if not targets <= frozenset(range(g.n)):
@@ -326,9 +327,7 @@ def solve_dp(
     if not targets:
         return (0, frozenset())
     ell = min(ell, max(1, g.n - 1))
-    if ntd is None:
-        ntd = to_nice(heuristic_td(g))
-    else:
+    if ntd is not None:
         bad = validate_td(g, ntd.to_td())
         if bad is not None:
             raise ValueError(f"decomposition does not fit the graph: {bad}")
@@ -337,32 +336,32 @@ def solve_dp(
     if stats is not None:
         stats["upper_bound"] = ub
         stats["table_sizes"] = []
-    if ub == 1:
-        # Targets are nonempty, so nothing beats a singleton; the greedy
-        # witness is already optimal and the table machinery can rest.
-        return (1, greedy_set)
-    eb = _label_bounds(g, targets, ell)
-
-    # Each table is replaced by its back-references once built; the states
-    # live on only until the parent's table is done.
-    backs: list[list | None] = [None] * len(ntd.nodes)
-    for i, table, _ in _tables(g, ntd, targets, ub, eb):
-        backs[i] = [back for _, back in table.values()]
-        if stats is not None:
-            stats["table_sizes"].append(len(table))
-
-    best = None
-    for at, (state, (cost, _)) in enumerate(table.items()):
-        if state[-4]:
-            continue  # a hat is still owed
-        if best is None or (cost, state) < best[:2]:
-            best = (cost, state, at)
-    if best is None:
-        raise RuntimeError("no feasible root state; this is an internal error")
-    opt, _, at = best
-    witness = frozenset(_reconstruct(ntd, backs, at))
+    opt, witness = ub, greedy_set
+    # The greedy set is optimal at ub <= 2: a lone origin observing every
+    # target would be the greedy's first pick.  Above that, the tables
+    # search only below ub; a state's cost never falls towards the root.
+    if ub > 2:
+        if ntd is None:
+            ntd = to_nice(heuristic_td(g))
+        eb = _label_bounds(g, targets, ell)
+        # Each table is replaced by its back-references once built; the
+        # states live on only until the parent's table is done.
+        backs: list[list | None] = [None] * len(ntd.nodes)
+        for i, table, _ in _tables(g, ntd, targets, ub - 1, eb):
+            backs[i] = [back for _, back in table.values()]
+            if stats is not None:
+                stats["table_sizes"].append(len(table))
+        best = None
+        for at, (state, (cost, _)) in enumerate(table.items()):
+            if state[-4]:
+                continue  # a hat is still owed
+            if best is None or (cost, state) < best[:2]:
+                best = (cost, state, at)
+        if best is not None:
+            opt, _, at = best
+            witness = frozenset(_reconstruct(ntd, backs, at))
     if len(witness) != opt or not is_feasible(g, witness, targets, ell):
-        raise RuntimeError("witness reconstruction failed; this is an internal error")
+        raise RuntimeError("solution failed verification; this is an internal error")
     return (opt, witness)
 
 
@@ -392,10 +391,11 @@ def _insert_may_dominate(adj_mask, bag, x: int, seen_mask: int) -> bool:
     return any(adj_mask[v] & ~seen_mask == 0 for v in bag if adj_mask[x] >> v & 1)
 
 
-def _tables(g: Graph, ntd: NiceTreeDecomposition, targets: frozenset[int], ub: int, eb):
-    """Build every nice node's pruned table bottom-up, yielding (node index,
-    table, bag context) as each is done, the root's last.  A child's table
-    is released once its parent's is built."""
+def _tables(g: Graph, ntd: NiceTreeDecomposition, targets: frozenset[int], bound: int, eb):
+    """Build every nice node's pruned table bottom-up, keeping states of
+    cost at most bound, and yield (node index, table, bag context) as each
+    is done, the root's last.  A child's table is released once its
+    parent's is built."""
     adj_mask = [0] * g.n
     for v in range(g.n):
         for w in g.adjacency[v]:
@@ -414,18 +414,18 @@ def _tables(g: Graph, ntd: NiceTreeDecomposition, targets: frozenset[int], ub: i
             mask |= seen[c]
         seen[i] = mask
         if nd.kind == "leaf":
-            table = _leaf_table(ctx, ub, adj_mask, mask, eb)
+            table = _leaf_table(ctx, bound, adj_mask, mask, eb)
         elif nd.kind == "insert":
             c = nd.children[0]
             table = _insert_table(
-                g, ctx, contexts[c], tables[c], nd.node, ub, adj_mask, mask, eb, plans
+                g, ctx, contexts[c], tables[c], nd.node, bound, adj_mask, mask, eb, plans
             )
         elif nd.kind == "forget":
             c = nd.children[0]
             table = _forget_table(ctx, contexts[c], tables[c], nd.node)
         else:
             a, b = nd.children
-            table = _join_table(ctx, tables[a], tables[b], ub, adj_mask, mask)
+            table = _join_table(ctx, tables[a], tables[b], bound, adj_mask, mask)
         if nd.kind != "insert" or _insert_may_dominate(adj_mask, nd.bag, nd.node, mask):
             _prune_dominated(table, ctx, adj_mask, mask)
         for c in nd.children:
@@ -434,7 +434,7 @@ def _tables(g: Graph, ntd: NiceTreeDecomposition, targets: frozenset[int], ub: i
         yield i, table, ctx
 
 
-def _leaf_table(ctx: BagContext, ub: int, adj_mask, seen_mask: int, eb) -> dict:
+def _leaf_table(ctx: BagContext, bound: int, adj_mask, seen_mask: int, eb) -> dict:
     """Back-references here are origin flags: 1 when the node is an origin."""
     if not ctx.nodes:
         return {(0, 0, 0, 0): (0, 0)}
@@ -448,7 +448,7 @@ def _leaf_table(ctx: BagContext, ub: int, adj_mask, seen_mask: int, eb) -> dict:
     table = {}
     for val, hat in options:
         cost = 1 if val == 0 else 0
-        if cost <= ub:
+        if cost <= bound:
             table[(val, 0, -NO_CAP, hat, 0, 0, 0)] = (cost, cost)
     return table
 
@@ -459,7 +459,7 @@ def _insert_table(
     child_ctx: BagContext,
     child: dict,
     x: int,
-    ub: int,
+    bound: int,
     adj_mask,
     seen_mask: int,
     eb,
@@ -470,7 +470,7 @@ def _insert_table(
     A child state's outputs depend on it only through a short signature:
     the labels and hats of x's bag neighbors, the tightest cap on x's label,
     the least label each neighbor could justify x with, and whether one
-    more origin fits under ub.  `plans`, which lives for one solve, maps a
+    more origin fits under bound.  `plans`, which lives for one solve, maps a
     signature plus the table constants the outputs read to those outputs,
     each as (x's edge codes and fields, hats kept, x's hat, origin flag).
     Distinct outputs differ in x's fields or edge codes, and those codes
@@ -588,7 +588,7 @@ def _insert_table(
         inb = inb >> x_at << up | inb & low
         out1 = out1 >> x_at << up | out1 & low
         out2 = out2 >> x_at << up | out2 & low
-        sig = (hat & nmask, eff_cap, ccost < ub, nbr_labels(cstate),
+        sig = (hat & nmask, eff_cap, ccost < bound, nbr_labels(cstate),
                tuple([max(f(cstate)) for f in seen_of]))
         plan = plans.get((consts, sig))
         if plan is None:
@@ -690,7 +690,7 @@ def _join_table(
     ctx: BagContext,
     left: dict,
     right: dict,
-    ub: int,
+    bound: int,
     adj_mask,
     seen_mask: int,
 ) -> dict:
@@ -712,7 +712,7 @@ def _join_table(
         return (tail, max(tail[:n], default=0), -max(tail[n:], default=-NO_CAP), *state[-4:])
 
     # Right states by orientation and labels, in table order; and, filled
-    # on first use, those of a key within a cost budget below ub.
+    # on first use, those of a key within a cost budget below bound.
     groups: dict[tuple, list] = {}
     for ri, (s, (rcost, _)) in enumerate(right.items()):
         groups.setdefault(s[:head], []).append((ri, rcost, *split(s)))
@@ -727,8 +727,8 @@ def _join_table(
         if group is None:
             continue
         zeros = key[m:].count(0)
-        budget = ub - lcost + zeros
-        if budget < ub:
+        budget = bound - lcost + zeros
+        if budget < bound:
             group = within.get((key, budget))
             if group is None:
                 group = within[key, budget] = [r for r in groups[key] if r[1] <= budget]

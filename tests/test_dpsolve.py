@@ -92,15 +92,25 @@ def test_dense_shortcut_still_exact():
 
 
 def test_stats_hook():
-    g = cycle_graph(6)
+    # The 4x4 grid at ell=1: the greedy needs 6, the tables find 4.
+    g = grid_graph(4, 4)
     stats: dict = {}
-    solve_dp(g, range(g.n), 1, stats=stats)
-    assert stats["upper_bound"] >= 1
+    assert solve_dp(g, range(g.n), 1, stats=stats)[0] == 4
+    assert stats["upper_bound"] == 6
     assert stats["table_sizes"] and all(s >= 1 for s in stats["table_sizes"])
-    # The singleton shortcut skips table building altogether.
+    # At ub <= 2 the greedy set is optimal and no table is built.
+    for g in (star_graph(6), cycle_graph(6)):
+        stats = {}
+        greedy = _greedy_upper_bound(g, frozenset(range(g.n)), 1)
+        assert solve_dp(g, range(g.n), 1, stats=stats) == greedy
+        assert greedy[0] <= 2 and stats["table_sizes"] == []
+    # The 3x3 grid at ell=1: the tables hold nothing below the greedy's 3,
+    # so the greedy set is the answer.
+    g = grid_graph(3, 3)
     stats = {}
-    solve_dp(star_graph(6), range(6), 1, stats=stats)
-    assert stats["table_sizes"] == []
+    greedy = _greedy_upper_bound(g, frozenset(range(g.n)), 1)
+    assert solve_dp(g, range(g.n), 1, stats=stats) == greedy
+    assert greedy[0] == stats["upper_bound"] == 3 and stats["table_sizes"]
 
 
 def _reference_greedy(g, targets, ell):
@@ -256,37 +266,72 @@ def test_join_refuses_two_justifying_edges():
 
 
 # Optimum and per-nice-node table sizes (post order, after pruning) on the
-# default decomposition; a change of state layout must leave them as they are.
+# default decomposition: first at the greedy bound ub, then as solve_dp
+# builds them, at ub - 1 and none when ub <= 2.  A change of state layout
+# must leave them as they are.
 TABLE_SIZES = [
     (grid_graph(3, 3), 1, 3, [
         2, 6, 13, 13, 46, 114, 2, 6, 13, 13, 46, 114, 157, 108, 144, 2, 6, 13, 13, 25,
-        114, 83, 30, 18, 9]),
+        114, 83, 30, 18, 9], [
+        2, 6, 12, 12, 35, 62, 2, 6, 12, 12, 35, 62, 38, 32, 23, 2, 6, 12, 12, 18, 62, 6,
+        4, 3, 0]),
     (grid_graph(3, 4), 2, 2, [
         3, 14, 57, 227, 3, 9, 35, 35, 95, 599, 3, 14, 35, 35, 179, 594, 796, 590, 903,
-        886, 559, 909, 650, 766, 625, 546, 3, 14, 35, 35, 95, 604, 176, 108, 49, 5]),
+        886, 559, 909, 650, 766, 625, 546, 3, 14, 35, 35, 95, 604, 176, 108, 49, 5], []),
     (pendant_cycle(6), 3, 2, [
         4, 11, 11, 57, 4, 11, 11, 57, 114, 278, 4, 11, 11, 57, 305, 315, 205, 259, 4,
-        11, 11, 57, 214, 295, 145, 159, 4, 11, 11, 57, 214, 158, 69, 35, 27, 8, 2]),
+        11, 11, 57, 214, 295, 145, 159, 4, 11, 11, 57, 214, 158, 69, 35, 27, 8, 2], []),
     (prism_graph(5), 2, 2, [
         3, 14, 57, 141, 141, 518, 1416, 1091, 2521, 3, 14, 57, 141, 141, 519, 1275, 3,
-        9, 57, 141, 141, 363, 1425, 4163, 2009, 1080, 601, 36]),
+        9, 57, 141, 141, 363, 1425, 4163, 2009, 1080, 601, 36], []),
     (spider(3, 3), 2, 3, [
-        3, 7, 7, 16, 11, 18, 3, 7, 7, 19, 12, 18, 11, 48, 59, 14, 14, 11, 20, 12, 12]),
+        3, 7, 7, 16, 11, 18, 3, 7, 7, 19, 12, 18, 11, 48, 59, 14, 14, 11, 20, 12, 12], [
+        3, 7, 7, 16, 11, 18, 3, 7, 7, 19, 12, 18, 11, 48, 56, 14, 13, 10, 13, 10, 5]),
     (spider(4, 2), 1, 4, [
-        2, 4, 4, 9, 2, 4, 4, 9, 5, 14, 2, 4, 4, 9, 5, 14, 16, 24, 6, 6, 5, 6]),
+        2, 4, 4, 9, 2, 4, 4, 9, 5, 14, 2, 4, 4, 9, 5, 14, 16, 24, 6, 6, 5, 6], [
+        2, 4, 4, 9, 2, 4, 4, 9, 5, 14, 2, 4, 4, 9, 5, 14, 16, 22, 6, 5, 4, 2]),
 ]
 
 
 def test_table_sizes_are_locked():
-    for g, ell, opt, sizes in TABLE_SIZES:
+    for g, ell, opt, sizes, solved_sizes in TABLE_SIZES:
+        targets = frozenset(range(g.n))
+        tables = _solver_tables(g, targets, ell, to_nice(heuristic_td(g)))
+        assert [len(table) for _, table, _ in tables] == sizes, (g, ell)
         stats: dict = {}
-        assert solve_dp(g, range(g.n), ell, stats=stats)[0] == opt
-        assert stats["table_sizes"] == sizes, (g, ell)
+        assert solve_dp(g, targets, ell, stats=stats)[0] == opt
+        assert stats["table_sizes"] == solved_sizes, (g, ell)
+
+
+def _root_optimum(g, targets, ell, ntd, bound):
+    """Cheapest hat-free root state in tables built at bound, or None."""
+    *_, (_, root, _) = _tables(g, ntd, targets, bound, _label_bounds(g, targets, ell))
+    return min((cost for state, (cost, _) in root.items() if not state[-4]), default=None)
+
+
+def _check_against_bruteforce(g, targets, ell, ntd) -> str:
+    """Check solve_dp against solve_bf, and the tables on their own: built
+    at bound opt they reach opt exactly, at opt - 1 nothing.  opt = 1 is
+    left to the greedy, which tries every lone origin.  Returns how the
+    solve ended."""
+    stats: dict = {}
+    opt, witness = solve_dp(g, targets, ell, ntd, stats=stats)
+    case = (g.edges, ntd.to_td(), sorted(targets), ell)
+    assert opt == solve_bf(g, targets, ell)[0], case
+    assert len(witness) == opt and is_feasible(g, witness, targets, ell), case
+    if opt >= 2:
+        assert _root_optimum(g, targets, ell, ntd, opt) == opt, case
+        assert _root_optimum(g, targets, ell, ntd, opt - 1) is None, case
+    ub = stats.get("upper_bound", 0)
+    if ub <= 2:
+        return "shortcut"
+    return "greedy proven optimal" if opt == ub else "tables beat greedy"
 
 
 def test_matches_bruteforce_on_random_decompositions():
     rng = random.Random(8128)
     kinds = set()
+    outcomes = dict.fromkeys(("shortcut", "greedy proven optimal", "tables beat greedy"), 0)
     for _ in range(1000):
         n = rng.randint(2, 8)
         g = random_graph(rng, n, rng.uniform(0.25, 0.7))
@@ -296,10 +341,69 @@ def test_matches_bruteforce_on_random_decompositions():
         kinds.update(nd.kind for nd in ntd.nodes)
         ell = rng.randint(1, min(4, n - 1))
         targets = frozenset(v for v in range(n) if rng.random() < 0.7)
-        opt, witness = solve_dp(g, targets, ell, ntd)
-        assert opt == solve_bf(g, targets, ell)[0], (g.edges, td, sorted(targets), ell)
-        assert len(witness) == opt and is_feasible(g, witness, targets, ell)
+        outcomes[_check_against_bruteforce(g, targets, ell, ntd)] += 1
+    # Random graphs this small rarely fool the greedy; spiders and the 4x4
+    # grid do.
+    for legs in (2, 3, 4):
+        for length, ell in ((2, 1), (3, 2)):
+            g = relabelled(spider(legs, length), rng)
+            ntd = to_nice(random_decomposition(rng, g))
+            outcomes[_check_against_bruteforce(g, frozenset(range(g.n)), ell, ntd)] += 1
+    g = grid_graph(4, 4)
+    ntd = to_nice(heuristic_td(g))
+    outcomes[_check_against_bruteforce(g, frozenset(range(g.n)), 1, ntd)] += 1
     assert kinds == {"leaf", "insert", "forget", "join"}
+    assert all(outcomes.values()), outcomes
+
+
+def _milp_optimum(g, ell):
+    """Optimum of the round-indexed program build_ip_ell, by scipy's milp."""
+    np = pytest.importorskip("numpy")
+    optimize = pytest.importorskip("scipy.optimize")
+    from powerdom.ipmodels import build_ip_ell
+
+    model = build_ip_ell(g, ell)
+    col = {name: j for j, name in enumerate(model.variables)}
+    c = np.zeros(len(col))
+    c[[col[name] for name in model.objective]] = 1
+    rows = np.zeros((len(model.constraints), len(col)))
+    lo = np.full(len(model.constraints), -np.inf)
+    hi = np.full(len(model.constraints), np.inf)
+    for r, con in enumerate(model.constraints):
+        for name, coef in con.coeffs:
+            rows[r, col[name]] = coef
+        if con.sense != ">=":
+            hi[r] = con.rhs
+        if con.sense != "<=":
+            lo[r] = con.rhs
+    res = optimize.milp(c, constraints=optimize.LinearConstraint(rows, lo, hi),
+                        integrality=np.ones(len(col)), bounds=optimize.Bounds(0, 1))
+    assert res.status == 0, res.message
+    return round(res.fun)
+
+
+MILP_CASES = {
+    "pendant_cycle_13_l2": (pendant_cycle(13), 2),
+    "pendant_cycle_13_l3": (pendant_cycle(13), 3),
+    "pendant_cycle_15_l2": (pendant_cycle(15), 2),
+    "pendant_cycle_15_l3": (pendant_cycle(15), 3),
+    "spider_4_7_l3": (spider(4, 7), 3),
+    "spider_5_6_l2": (spider(5, 6), 2),
+    # The greedy is one above the optimum on these three.
+    "spider_6_4_l2": (spider(6, 4), 2),
+    "spider_5_5_l3": (spider(5, 5), 3),
+    "grid_3x9_l1": (grid_graph(3, 9), 1),
+}
+
+
+@pytest.mark.parametrize("case", MILP_CASES)
+def test_matches_milp_beyond_bruteforce(case):
+    # A third exact oracle, for graphs past solve_bf's 24-node guard.
+    g, ell = MILP_CASES[case]
+    assert g.n > 24
+    opt, witness = solve_dp(g, range(g.n), ell)
+    assert len(witness) == opt and is_feasible(g, witness, range(g.n), ell)
+    assert opt == _milp_optimum(g, ell)
 
 
 def _reference_label_bounds(g, targets, ell):
@@ -333,7 +437,7 @@ def _table_cases():
     small random graphs, and relabelled 3x5 grids: (graph, targets, ell,
     nice decomposition).  Random decompositions with bags of five or more
     nodes are drawn again: a few of those take seconds each."""
-    for g, ell, _, _ in TABLE_SIZES:
+    for g, ell, *_ in TABLE_SIZES:
         yield g, frozenset(range(g.n)), ell, to_nice(heuristic_td(g))
     rng = random.Random(1729)
     for _ in range(300):
@@ -352,7 +456,9 @@ def _table_cases():
 
 
 def _solver_tables(g, targets, ell, ntd):
-    """(node index, table, context) of every nice node, as solve_dp builds them."""
+    """(node index, table, context) of every nice node, built as solve_dp
+    builds them but at the greedy bound ub itself, one above solve_dp's, so
+    that states of cost ub are covered too."""
     ub, _ = _greedy_upper_bound(g, targets, ell)
     return list(_tables(g, ntd, targets, ub, _label_bounds(g, targets, ell)))
 
