@@ -1,7 +1,7 @@
 """Bounded-round power domination: exact solvers, a PTAS, and IP models."""
 
 from powerdom.bruteforce import solve_bf, solve_domset_bf
-from powerdom.dpsolve import solve_dp, state_space_size
+from powerdom.dpsolve import solve_dp
 from powerdom.generators import (
     MinRepInstance,
     attach_paths,
@@ -55,7 +55,6 @@ __all__ = [
     "solve_bf",
     "solve_domset_bf",
     "solve_dp",
-    "state_space_size",
     "TimedOrientation",
     "orientation_from_trace",
     "origin",

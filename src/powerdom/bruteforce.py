@@ -8,6 +8,9 @@ from typing import Iterable
 from powerdom.graphs import Graph
 from powerdom.propagation import spread
 
+# Largest graph either exhaustive search takes on without force=True.
+NODE_LIMIT = 24
+
 
 def _covers(closed: tuple[int, ...], sources: Iterable[int], tmask: int, ell: int) -> bool:
     first = 0
@@ -21,7 +24,6 @@ def solve_bf(
     targets: Iterable[int],
     ell: int,
     size_cap: int | None = None,
-    node_limit: int = 24,
     force: bool = False,
 ) -> tuple[int, frozenset[int]] | None:
     """Smallest source set observing all targets within ell rounds.
@@ -39,9 +41,9 @@ def solve_bf(
             raise ValueError(f"target {v} out of range")
     if not tgt:
         return 0, frozenset()
-    if g.n > node_limit and not force:
+    if g.n > NODE_LIMIT and not force:
         raise ValueError(
-            f"refusing exhaustive search on n={g.n} > {node_limit}; pass force=True"
+            f"refusing exhaustive search on n={g.n} > {NODE_LIMIT}; pass force=True"
         )
     closed = g.closed_masks()
     tmask = 0
@@ -57,7 +59,6 @@ def solve_bf(
 
 def solve_domset_bf(
     g: Graph,
-    node_limit: int = 24,
     force: bool = False,
 ) -> tuple[int, frozenset[int]]:
     """Smallest S whose closed neighborhoods cover every node of g.
@@ -67,9 +68,9 @@ def solve_domset_bf(
     """
     if g.n == 0:
         return 0, frozenset()
-    if g.n > node_limit and not force:
+    if g.n > NODE_LIMIT and not force:
         raise ValueError(
-            f"refusing exhaustive search on n={g.n} > {node_limit}; pass force=True"
+            f"refusing exhaustive search on n={g.n} > {NODE_LIMIT}; pass force=True"
         )
     covers = {v: frozenset(g.adjacency[v]) | {v} for v in range(g.n)}
     everything = frozenset(range(g.n))

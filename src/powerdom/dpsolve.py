@@ -31,7 +31,6 @@ test suite audits stored tables against the predicate on small instances.
 
 from __future__ import annotations
 
-import sys
 from dataclasses import dataclass, field
 from math import inf as INF
 from operator import itemgetter, le
@@ -163,13 +162,6 @@ def is_invalid_state(ctx: BagContext, s: tuple) -> bool:
     return False
 
 
-def state_space_size(n_i: int, m_i: int, ell: int) -> int:
-    """Nominal per-bag state count 3^m * (2l+2)^n * 5^n * (l+2)^n, saturated
-    at sys.maxsize.  Diagnostic only; actual tables are built lazily."""
-    val = 3**m_i * (2 * ell + 2) ** n_i * 5**n_i * (ell + 2) ** n_i
-    return val if val < sys.maxsize else sys.maxsize
-
-
 # In-progress tables get a dominance sweep whenever they grow past this
 # many entries, bounding peak memory rather than just the handoff size.
 PRUNE_TRIGGER = 200_000
@@ -272,34 +264,31 @@ def _greedy_upper_bound(
     return chosen.bit_count(), frozenset(v for v in range(g.n) if chosen >> v & 1)
 
 
-def _label_bounds(g: Graph, targets: frozenset[int], ell: int) -> list[int]:
+def _label_bounds(g: Graph, ell: int) -> list[int]:
     """Per node, the highest label a state needs to give it.
 
-    Observation times only drop as origins are added, so no node is ever
-    claimed later than under the slowest single origin; and if no single
-    origin suffices, solutions hold two or more, so the second-slowest
-    singleton time bounds the claim too.  Bounds clamp at ell, so each
+    Precondition: no lone origin observes every target within ell rounds;
+    solve_dp calls this only at ub > 2, where the greedy has ruled that
+    out.  Solutions then hold two or more origins, and observation times
+    only drop as origins are added, so no node is ever claimed later than
+    under its second-slowest singleton run.  Bounds clamp at ell, so each
     singleton run stops after ell rounds: a node it leaves unobserved is
     bounded by ell either way.  On dense graphs this collapses the search.
     """
     first = [0.0] * g.n
     second = [0.0] * g.n
-    lone_origin_works = False
     closed = g.closed_masks()
     for u in range(g.n):
         times = [INF] * g.n
         spread(closed, closed[u], ell, times)
         times[u] = 0
-        if not lone_origin_works:
-            lone_origin_works = all(times[v] <= ell for v in targets)
         for v, t in enumerate(times):
             if t > first[v]:
                 second[v] = first[v]
                 first[v] = t
             elif t > second[v]:
                 second[v] = t
-    val_bound = first if (lone_origin_works or g.n < 2) else second
-    return [int(min(b, ell)) for b in val_bound]
+    return [int(min(b, ell)) for b in second]
 
 
 def solve_dp(
@@ -312,8 +301,9 @@ def solve_dp(
 ) -> tuple[int, frozenset[int]]:
     """Minimum-size set observing every target within ell rounds, exactly.
 
-    ntd defaults to the nice form of a min-fill heuristic decomposition and
-    is validated against g otherwise.  ell is clamped to n-1, beyond which
+    ntd defaults to the nice form of a min-fill heuristic decomposition,
+    built only when the greedy bound leaves tables to build, and is
+    validated against g otherwise.  ell is clamped to n-1, beyond which
     one more round can never help.  Returns (optimum, witness set); the
     witness is the greedy set when nothing smaller exists.  When a dict is
     passed as stats it receives the greedy upper bound and per-bag table
@@ -343,7 +333,7 @@ def solve_dp(
     if ub > 2:
         if ntd is None:
             ntd = to_nice(heuristic_td(g))
-        eb = _label_bounds(g, targets, ell)
+        eb = _label_bounds(g, ell)
         # Each table is replaced by its back-references once built; the
         # states live on only until the parent's table is done.
         backs: list[list | None] = [None] * len(ntd.nodes)

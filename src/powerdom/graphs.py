@@ -65,9 +65,6 @@ class Graph:
     def m(self) -> int:
         return len(self.edges)
 
-    def neighbors(self, v: int) -> tuple[int, ...]:
-        return self.adjacency[v]
-
     def degree(self, v: int) -> int:
         return len(self.adjacency[v])
 
@@ -94,21 +91,6 @@ class Graph:
 
     def __repr__(self) -> str:
         return f"Graph(n={self.n}, m={self.m})"
-
-
-def closed_neighborhood(g: Graph, v: int) -> frozenset[int]:
-    """N[v]: v together with its neighbors."""
-    return frozenset(g.adjacency[v]) | {v}
-
-
-def open_neighborhood(g: Graph, v: int) -> frozenset[int]:
-    return frozenset(g.adjacency[v])
-
-
-def min_degree(g: Graph) -> int:
-    if g.n == 0:
-        raise ValueError("min_degree is undefined on the empty graph")
-    return min(g.degree(v) for v in range(g.n))
 
 
 def induced_subgraph(g: Graph, keep: Iterable[int]) -> tuple[Graph, dict[int, int]]:

@@ -12,14 +12,12 @@ propagation steps that the full graph forbids.
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass
 from fractions import Fraction
 
 from powerdom.dpsolve import solve_dp
 from powerdom.graphs import Graph, GraphFormatError, induced_subgraph
 from powerdom.propagation import is_feasible
-from powerdom.treedecomp import heuristic_td, to_nice
 
 
 @dataclass(frozen=True)
@@ -234,7 +232,6 @@ def ptas_detailed(g: Graph, levels: LevelAssignment, ell: int, eps) -> PtasResul
     if bad is not None:
         raise ValueError(f"level assignment does not fit the graph: {bad}")
     k = 4 * math.ceil(Fraction(ell) / e)
-    width_note = 3 * (k + 4 * ell) - 1
     cache: dict[tuple[frozenset[int], frozenset[int]], frozenset[int]] = {}
     best: tuple[int, int, frozenset[int], tuple[int, ...]] | None = None
     for i in range(1, k + 1):
@@ -244,17 +241,7 @@ def ptas_detailed(g: Graph, levels: LevelAssignment, ell: int, eps) -> PtasResul
             key = (block.B, block.C)
             if key not in cache:
                 sub, idmap = induced_subgraph(g, block.B)
-                td = heuristic_td(sub)
-                if td.width > width_note:
-                    warnings.warn(
-                        f"block decomposition width {td.width} exceeds the "
-                        f"expected bound {width_note}; the exact solve may "
-                        "be slow",
-                        stacklevel=2,
-                    )
-                _, wit = solve_dp(
-                    sub, {idmap[v] for v in block.C}, ell, to_nice(td)
-                )
+                _, wit = solve_dp(sub, {idmap[v] for v in block.C}, ell)
                 back = {new: old for old, new in idmap.items()}
                 cache[key] = frozenset(back[w] for w in wit)
             found = cache[key]

@@ -28,16 +28,6 @@ class PropagationTrace:
 
     times: tuple[float, ...]
     rounds_run: int
-    source_set: frozenset[int]
-
-    def time(self, v: int) -> float:
-        return self.times[v]
-
-    def observed(self) -> frozenset[int]:
-        return frozenset(v for v, t in enumerate(self.times) if t != INF)
-
-    def covers(self, targets: Iterable[int]) -> bool:
-        return all(self.times[v] != INF for v in targets)
 
 
 def spread(
@@ -143,7 +133,7 @@ def propagate(g: Graph, sources: Iterable[int], k: int) -> PropagationTrace:
     spread(g.closed_masks(), first, k, times)
     for v in src:
         times[v] = 0
-    return PropagationTrace(times=tuple(times), rounds_run=k, source_set=src)
+    return PropagationTrace(times=tuple(times), rounds_run=k)
 
 
 def is_feasible(g: Graph, sources: Iterable[int], targets: Iterable[int], ell: int) -> bool:

@@ -48,13 +48,6 @@ class TreeDecomposition:
         return max(len(b) for b in self.bags) - 1
 
 
-def max_bag_edges(g: Graph, td: TreeDecomposition) -> int:
-    """Largest number of graph edges internal to any single bag."""
-    return max(
-        sum(1 for u, v in g.edges if u in bag and v in bag) for bag in td.bags
-    )
-
-
 @dataclass(frozen=True)
 class TdViolation:
     kind: str

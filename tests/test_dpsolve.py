@@ -30,18 +30,11 @@ from powerdom.dpsolve import (
     _tables,
     is_invalid_state,
     solve_dp,
-    state_space_size,
 )
 from powerdom.generators import pendant_cycle, spider
 from powerdom.graphs import Graph
 from powerdom.propagation import is_feasible
 from powerdom.treedecomp import TreeDecomposition, heuristic_td, to_nice, validate_td
-
-
-def test_state_space_size_examples():
-    assert state_space_size(1, 0, 1) == 60
-    assert state_space_size(2, 1, 2) == 43200
-    assert state_space_size(3, 3, 3) == 216000000
 
 
 def test_spider_identities():
@@ -305,7 +298,7 @@ def test_table_sizes_are_locked():
 
 def _root_optimum(g, targets, ell, ntd, bound):
     """Cheapest hat-free root state in tables built at bound, or None."""
-    *_, (_, root, _) = _tables(g, ntd, targets, bound, _label_bounds(g, targets, ell))
+    *_, (_, root, _) = _tables(g, ntd, targets, bound, _label_bounds(g, ell))
     return min((cost for state, (cost, _) in root.items() if not state[-4]), default=None)
 
 
@@ -406,16 +399,15 @@ def test_matches_milp_beyond_bruteforce(case):
     assert opt == _milp_optimum(g, ell)
 
 
-def _reference_label_bounds(g, targets, ell):
-    """min(ell, the slowest singleton time) per node, or the second slowest
-    unless one origin alone observes every target within ell rounds; every
-    singleton run taken to its fixed point by the naive oracle."""
+def _reference_label_bounds(g, ell):
+    """min(ell, the second-slowest singleton time) per node, 0 on a lone
+    node; every singleton run taken to its fixed point by the naive
+    oracle."""
     runs = [naive_times(g, {u}, g.n) for u in range(g.n)]
-    lone = g.n < 2 or any(all(t[v] <= ell for v in targets) for t in runs)
     bounds = []
     for v in range(g.n):
-        slow = sorted((t[v] for t in runs), reverse=True)
-        bounds.append(int(min(slow[0] if lone else slow[1], ell)))
+        slow = sorted((t[v] for t in runs), reverse=True) + [0]
+        bounds.append(int(min(slow[1], ell)))
     return bounds
 
 
@@ -427,9 +419,8 @@ def test_label_bounds_match_fixed_point_reference(seed, n):
         g = random_tree(rnd, n)  # long runs, most of them past ell
     else:
         g = random_graph(rnd, n, rnd.uniform(0.1, 0.6))
-    targets = frozenset(v for v in range(n) if rnd.random() < 0.7) or frozenset({0})
     for ell in range(1, max(2, n)):
-        assert _label_bounds(g, targets, ell) == _reference_label_bounds(g, targets, ell)
+        assert _label_bounds(g, ell) == _reference_label_bounds(g, ell)
 
 
 def _table_cases():
@@ -460,7 +451,7 @@ def _solver_tables(g, targets, ell, ntd):
     builds them but at the greedy bound ub itself, one above solve_dp's, so
     that states of cost ub are covered too."""
     ub, _ = _greedy_upper_bound(g, targets, ell)
-    return list(_tables(g, ntd, targets, ub, _label_bounds(g, targets, ell)))
+    return list(_tables(g, ntd, targets, ub, _label_bounds(g, ell)))
 
 
 class _PlanStoreThatForgets(dict):

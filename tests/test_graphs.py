@@ -4,11 +4,8 @@ from conftest import cycle_graph, path_graph
 from powerdom.graphs import (
     Graph,
     GraphFormatError,
-    closed_neighborhood,
     emit_graph,
     induced_subgraph,
-    min_degree,
-    open_neighborhood,
     parse_graph,
 )
 
@@ -30,20 +27,6 @@ def test_rejects_self_loops_and_duplicates():
         Graph(2, [(0, 1), (1, 0)])
     with pytest.raises(ValueError):
         Graph(2, [(0, 2)])
-
-
-def test_neighborhoods():
-    g = path_graph(3)
-    assert closed_neighborhood(g, 1) == {0, 1, 2}
-    assert open_neighborhood(g, 1) == {0, 2}
-    assert closed_neighborhood(g, 0) == {0, 1}
-
-
-def test_min_degree():
-    assert min_degree(path_graph(4)) == 1
-    assert min_degree(cycle_graph(5)) == 2
-    with pytest.raises(ValueError):
-        min_degree(Graph(0, []))
 
 
 def test_induced_subgraph_keeps_order():

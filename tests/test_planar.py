@@ -3,6 +3,7 @@ import itertools
 import pytest
 
 from conftest import cycle_graph, grid_graph
+from powerdom import dpsolve, planar, treedecomp
 from powerdom.bruteforce import solve_bf
 from powerdom.generators import spider
 from powerdom.graphs import Graph, GraphFormatError, emit_graph
@@ -26,6 +27,13 @@ def two_ring() -> Graph:
         edges.append((8 + i, 8 + (i + 1) % 8))
         edges.append((i, 8 + i))
     return Graph(16, edges)
+
+
+def stacked_triangles(layers: int) -> tuple[Graph, LevelAssignment]:
+    # C3 x P_layers drawn as nested triangles; layer i is level i + 1.
+    edges = [(3 * i + j, 3 * i + (j + 1) % 3) for i in range(layers) for j in range(3)]
+    edges += [(3 * i + j, 3 * i + 3 + j) for i in range(layers - 1) for j in range(3)]
+    return Graph(3 * layers, edges), LevelAssignment(tuple(i // 3 + 1 for i in range(3 * layers)))
 
 
 def grid_levels(r: int, c: int) -> LevelAssignment:
@@ -142,3 +150,29 @@ def test_eps_domain():
             ptas(sp, la, 1, bad)
     with pytest.raises(ValueError):
         ptas(sp, LevelAssignment((1,) * (sp.n - 1)), 1, 1)
+
+
+def test_ptas_builds_decompositions_only_for_table_blocks(monkeypatch):
+    # A block that the greedy bound settles needs no decomposition; every
+    # block solve that builds tables builds exactly one.
+    built = {"heuristic_td": 0, "to_nice": 0}
+    for name in built:
+        def counted(*args, _orig=getattr(treedecomp, name), _name=name):
+            built[_name] += 1
+            return _orig(*args)
+        for mod in (dpsolve, planar):
+            monkeypatch.setattr(mod, name, counted, raising=False)
+    tabled = []
+    solve = planar.solve_dp
+
+    def solve_and_record(*args):
+        stats: dict = {}
+        result = solve(*args, stats=stats)
+        tabled.append(bool(stats["table_sizes"]))
+        return result
+
+    monkeypatch.setattr(planar, "solve_dp", solve_and_record)
+    g, lv = stacked_triangles(6)
+    ptas_detailed(g, lv, 1, 1)
+    assert 0 < sum(tabled) < len(tabled)
+    assert built == {"heuristic_td": sum(tabled), "to_nice": sum(tabled)}

@@ -17,7 +17,6 @@ from powerdom.treedecomp import (
     TreeDecomposition,
     emit_td,
     heuristic_td,
-    max_bag_edges,
     parse_td,
     to_nice,
     validate_td,
@@ -224,12 +223,6 @@ def test_to_nice_on_a_deep_path_decomposition():
     # One leaf and insert, then a forget and an insert per tree edge.
     assert len(ntd.nodes) == 2 * n
     assert ntd.nodes[ntd.root].bag == td.bags[0]
-
-
-def test_max_bag_edges():
-    g = cycle_graph(4)
-    td = heuristic_td(g)
-    assert max_bag_edges(g, td) >= 1
 
 
 def test_parse_emit_round_trip():
