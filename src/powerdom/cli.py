@@ -17,7 +17,7 @@ import json
 import sys
 import time
 
-from .bruteforce import solve_bf
+from .bruteforce import NODE_LIMIT, solve_bf
 from .dpsolve import solve_dp
 from .generators import (
     attach_paths,
@@ -131,6 +131,11 @@ def _cmd_solve(args) -> int:
     extra: list[str] = []
     t0 = time.perf_counter()
     if args.method == "bf":
+        if g.n > NODE_LIMIT:
+            raise CliError(
+                f"--method bf takes graphs of at most {NODE_LIMIT} nodes, not {g.n}; "
+                "use --method dp"
+            )
         solved = solve_bf(g, targets, ell)
         assert solved is not None
         opt, witness = solved

@@ -31,7 +31,6 @@ test suite audits stored tables against the predicate on small instances.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from math import inf as INF
 from operator import itemgetter, le
 
@@ -50,37 +49,29 @@ UNOBSERVED = 1 << 30
 NO_CAP = UNOBSERVED
 
 
-@dataclass(frozen=True, eq=False)
 class BagContext:
-    """Static per-bag data: the bag's induced subgraph, which bag nodes are
-    targets, and index-based mirrors for fast checks."""
+    """Static facts of one nice node: its bag's nodes, sorted, and induced
+    edges, the bag's targets, index-based mirrors for fast checks, and
+    `open`, the mask of bag positions whose node has a neighbor outside
+    `seen`, the nodes of the bags at or below this one."""
 
-    nodes: tuple[int, ...]
-    edges: tuple[tuple[int, int], ...]
-    targets: frozenset[int]
-    pos: dict[int, int] = field(repr=False, default=None)
-    edge_pos: tuple[tuple[int, int], ...] = field(repr=False, default=None)
-    adj_pos: tuple[tuple[int, ...], ...] = field(repr=False, default=None)
+    __slots__ = ("nodes", "edges", "targets", "pos", "edge_pos", "adj_pos", "open")
 
-    def __post_init__(self):
-        if self.pos is None:
-            pos = {v: i for i, v in enumerate(self.nodes)}
-            edge_pos = tuple((pos[u], pos[v]) for u, v in self.edges)
-            adj: list[list[int]] = [[] for _ in self.nodes]
-            for pu, pv in edge_pos:
-                adj[pu].append(pv)
-                adj[pv].append(pu)
-            object.__setattr__(self, "pos", pos)
-            object.__setattr__(self, "edge_pos", edge_pos)
-            object.__setattr__(self, "adj_pos", tuple(map(tuple, adj)))
-
-
-def _bag_context(g: Graph, bag: frozenset[int], targets: frozenset[int]) -> BagContext:
-    nodes = tuple(sorted(bag))
-    edges = tuple(
-        (u, v) for i, u in enumerate(nodes) for v in nodes[i + 1 :] if g.has_edge(u, v)
-    )
-    return BagContext(nodes, edges, targets & bag)
+    def __init__(self, g: Graph, bag, targets: frozenset[int], seen: int):
+        self.nodes = nodes = tuple(sorted(bag))
+        self.edges = tuple(
+            (u, v) for i, u in enumerate(nodes) for v in nodes[i + 1 :] if g.has_edge(u, v)
+        )
+        self.targets = targets.intersection(nodes)
+        self.pos = pos = {v: i for i, v in enumerate(nodes)}
+        self.edge_pos = tuple((pos[u], pos[v]) for u, v in self.edges)
+        adj: list[list[int]] = [[] for _ in nodes]
+        for pu, pv in self.edge_pos:
+            adj[pu].append(pv)
+            adj[pv].append(pu)
+        self.adj_pos = tuple(map(tuple, adj))
+        closed = g.closed_masks()
+        self.open = sum(1 << i for i, v in enumerate(nodes) if closed[v] & ~seen)
 
 
 def _picker(positions):
@@ -167,7 +158,7 @@ def is_invalid_state(ctx: BagContext, s: tuple) -> bool:
 PRUNE_TRIGGER = 200_000
 
 
-def _prune_dominated(table: dict, ctx: BagContext, adj_mask, seen_mask: int) -> None:
+def _prune_dominated(table: dict, ctx: BagContext) -> None:
     """Drop states another state renders pointless.
 
     Two states with the same orientation, labels, and below-in-degrees are
@@ -181,16 +172,15 @@ def _prune_dominated(table: dict, ctx: BagContext, adj_mask, seen_mask: int) -> 
     if len(table) < 2:
         return
     m, n = len(ctx.edges), len(ctx.nodes)
-    is_open = [bool(adj_mask[v] & ~seen_mask) for v in ctx.nodes]
     key_of = _picker([
         *range(m + n),
-        *(m + n + i for i in range(n) if is_open[i]),
+        *(m + n + i for i in range(n) if ctx.open >> i & 1),
         m + 3 * n,  # hat
         m + 3 * n + 1,  # in
     ])
     vec_of = _picker([
         *range(m + 2 * n, m + 3 * n),  # negated caps
-        *(m + n + i for i in range(n) if not is_open[i]),
+        *(m + n + i for i in range(n) if not ctx.open >> i & 1),
     ])
     keys = list(map(key_of, table))
     if len(set(keys)) == len(keys):
@@ -369,16 +359,16 @@ def _post_order(ntd: NiceTreeDecomposition) -> list[int]:
     return out
 
 
-def _insert_may_dominate(adj_mask, bag, x: int, seen_mask: int) -> bool:
-    """Can the table of inserting x into bag hold dominated states, given a
-    child table that holds none?
+def _insert_may_dominate(ctx: BagContext, x: int) -> bool:
+    """Can the table of inserting x into ctx's bag hold dominated states,
+    given a child table that holds none?
 
     Only if x is the last unseen neighbor of a bag neighbor of x, whose
     below-maximum then leaves the dominance key for the compared vector.
     Otherwise a parent key and vector are the child's plus x's fields, which
     are equal whenever the keys are, so dominance carries over unchanged.
     """
-    return any(adj_mask[v] & ~seen_mask == 0 for v in bag if adj_mask[x] >> v & 1)
+    return any(not ctx.open >> p & 1 for p in ctx.adj_pos[ctx.pos[x]])
 
 
 def _tables(g: Graph, ntd: NiceTreeDecomposition, targets: frozenset[int], bound: int, eb):
@@ -386,72 +376,49 @@ def _tables(g: Graph, ntd: NiceTreeDecomposition, targets: frozenset[int], bound
     cost at most bound, and yield (node index, table, bag context) as each
     is done, the root's last.  A child's table is released once its
     parent's is built."""
-    adj_mask = [0] * g.n
-    for v in range(g.n):
-        for w in g.adjacency[v]:
-            adj_mask[v] |= 1 << w
+    empty = BagContext(g, (), targets, 0)
     contexts: list[BagContext | None] = [None] * len(ntd.nodes)
     seen: list[int] = [0] * len(ntd.nodes)
     tables: list[dict | None] = [None] * len(ntd.nodes)
     plans: dict = {}
     for i in _post_order(ntd):
         nd = ntd.nodes[i]
-        ctx = contexts[i] = _bag_context(g, nd.bag, targets)
         mask = 0
         for v in nd.bag:
             mask |= 1 << v
         for c in nd.children:
             mask |= seen[c]
         seen[i] = mask
+        ctx = contexts[i] = BagContext(g, nd.bag, targets, mask)
         if nd.kind == "leaf":
-            table = _leaf_table(ctx, bound, adj_mask, mask, eb)
+            # The empty bag's one state, then the leaf's node, if any,
+            # inserted into it.
+            table = {(0, 0, 0, 0): (0, (0, 0))}
+            for x in nd.bag:
+                table = _insert_table(ctx, empty, table, x, bound, eb, plans)
         elif nd.kind == "insert":
             c = nd.children[0]
-            table = _insert_table(
-                g, ctx, contexts[c], tables[c], nd.node, bound, adj_mask, mask, eb, plans
-            )
+            table = _insert_table(ctx, contexts[c], tables[c], nd.node, bound, eb, plans)
         elif nd.kind == "forget":
             c = nd.children[0]
             table = _forget_table(ctx, contexts[c], tables[c], nd.node)
         else:
             a, b = nd.children
-            table = _join_table(ctx, tables[a], tables[b], bound, adj_mask, mask)
-        if nd.kind != "insert" or _insert_may_dominate(adj_mask, nd.bag, nd.node, mask):
-            _prune_dominated(table, ctx, adj_mask, mask)
+            table = _join_table(ctx, tables[a], tables[b], bound)
+        if nd.kind != "insert" or _insert_may_dominate(ctx, nd.node):
+            _prune_dominated(table, ctx)
         for c in nd.children:
             tables[c] = None
         tables[i] = table
         yield i, table, ctx
 
 
-def _leaf_table(ctx: BagContext, bound: int, adj_mask, seen_mask: int, eb) -> dict:
-    """Back-references here are origin flags: 1 when the node is an origin."""
-    if not ctx.nodes:
-        return {(0, 0, 0, 0): (0, 0)}
-    v = ctx.nodes[0]
-    options: list[tuple[int, int]] = [(0, 0)]
-    if v not in ctx.targets:
-        options.append((UNOBSERVED, 0))
-    if adj_mask[v] & ~seen_mask:
-        # A hat is a promise that a justifying neighbor appears later.
-        options.extend((a, 1) for a in range(1, eb[v] + 1))
-    table = {}
-    for val, hat in options:
-        cost = 1 if val == 0 else 0
-        if cost <= bound:
-            table[(val, 0, -NO_CAP, hat, 0, 0, 0)] = (cost, cost)
-    return table
-
-
 def _insert_table(
-    g: Graph,
     ctx: BagContext,
     child_ctx: BagContext,
     child: dict,
     x: int,
     bound: int,
-    adj_mask,
-    seen_mask: int,
     eb,
     plans: dict,
 ) -> dict:
@@ -468,7 +435,8 @@ def _insert_table(
     """
     table: dict = {}
     cm, cn = len(child_ctx.edges), len(child_ctx.nodes)
-    nbrs = tuple(v for v in ctx.nodes if v != x and g.has_edge(x, v))
+    x_at = ctx.pos[x]
+    nbrs = tuple(ctx.nodes[p] for p in ctx.adj_pos[x_at])
     d = len(nbrs)
     npos = tuple(child_ctx.pos[v] for v in nbrs)
     nbit = tuple(1 << ctx.pos[v] for v in nbrs)
@@ -504,16 +472,16 @@ def _insert_table(
     seen_of = [
         _picker([cm + cn + p, cm + p, *(cm + pw for pw in child_ctx.adj_pos[p])]) for p in npos
     ]
-    x_at = ctx.pos[x]
     x_hi = eb[x]
-    x_has_future = bool(adj_mask[x] & ~seen_mask)
+    x_has_future = bool(ctx.open >> x_at & 1)
     # Neighbors for which x is the last unseen neighbor: their hats must be
     # resolved by x itself, and if one justifies x, x's label is exact.
-    dying = sum(b for b, v in zip(nbit, nbrs) if adj_mask[v] & ~seen_mask == 0)
+    dying = nmask & ~ctx.open
     none_opts: list[tuple[int, int]] = [(0, 0)]
     if x not in ctx.targets:
         none_opts.append((UNOBSERVED, 0))
     if x_has_future:
+        # A hat is a promise that a justifying neighbor appears later.
         none_opts.extend((a, 1) for a in range(1, x_hi + 1))
     # The table constants of a plan key.  Everything else the outputs read
     # follows from these; x's edge codes from the positions, since bag
@@ -563,7 +531,7 @@ def _insert_table(
     trigger = PRUNE_TRIGGER
     for ci, (cstate, (ccost, _)) in enumerate(child.items()):
         if len(table) > trigger:
-            _prune_dominated(table, ctx, adj_mask, seen_mask)
+            _prune_dominated(table, ctx)
             trigger = max(PRUNE_TRIGGER, 2 * len(table))
         # Tightest bound x's label must respect from caps and in-bag heads.
         eff_cap = -max(nbr_caps(cstate), default=-NO_CAP)
@@ -681,8 +649,6 @@ def _join_table(
     left: dict,
     right: dict,
     bound: int,
-    adj_mask,
-    seen_mask: int,
 ) -> dict:
     """Back-references are (left index, right index)."""
     table: dict = {}
@@ -690,10 +656,7 @@ def _join_table(
     head = m + n
     # Bits where no unseen neighbor remains; a hat surviving the join on one
     # of these nodes could never be resolved.
-    nofuture = 0
-    for i, v in enumerate(ctx.nodes):
-        if not adj_mask[v] & ~seen_mask:
-            nofuture |= 1 << i
+    nofuture = ~ctx.open
 
     def split(state):
         """The fields a pairing reads: the per-node tail, its largest
@@ -710,7 +673,7 @@ def _join_table(
     trigger = PRUNE_TRIGGER
     for li, (ls, (lcost, _)) in enumerate(left.items()):
         if len(table) > trigger:
-            _prune_dominated(table, ctx, adj_mask, seen_mask)
+            _prune_dominated(table, ctx)
             trigger = max(PRUNE_TRIGGER, 2 * len(table))
         key = ls[:head]
         group = groups.get(key)
@@ -754,7 +717,7 @@ def _reconstruct(ntd: NiceTreeDecomposition, backs, root_at: int) -> set[int]:
         nd = ntd.nodes[i]
         back = backs[i][at]
         if nd.kind == "leaf":
-            if back:
+            if back[1]:
                 witness.update(nd.bag)
         elif nd.kind == "insert":
             at, origin = back

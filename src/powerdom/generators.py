@@ -3,7 +3,7 @@ and the representative-cover hardness reduction."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterable
 
 from powerdom.graphs import Graph, GraphFormatError
@@ -190,12 +190,6 @@ def parse_minrep(text: str) -> MinRepInstance:
         raise GraphFormatError(str(exc)) from None
 
 
-def emit_minrep(inst: MinRepInstance) -> str:
-    out = [f"minrep {inst.q_a} {inst.m_a} {inst.q_b} {inst.m_b}"]
-    out.extend(f"e {a + 1} {b + 1}" for a, b in inst.edges)
-    return "\n".join(out) + "\n"
-
-
 # One-way connector between a copy's center and one terminal (a u or v node).
 # Three fresh nodes per arm; alpha and gamma are dashed, i.e. also adjacent
 # to the master node and hence observed in round 1.  Once the center is
@@ -238,9 +232,6 @@ class ReductionInfo:
     pendants: tuple[int, int, int]
     roles: tuple[str, ...]
     copies: int = LAMBDA_COPIES
-
-    def nodes_with_role(self, suffix: str) -> tuple[int, ...]:
-        return tuple(v for v, r in enumerate(self.roles) if r.endswith(suffix))
 
 
 def minrep_to_pds(inst: MinRepInstance) -> tuple[Graph, ReductionInfo]:

@@ -193,6 +193,19 @@ def test_oversized_node_count_is_refused(tmp_path, capsys):
     assert "line 2" in err and "1000000000" in err
 
 
+def test_bruteforce_refuses_graphs_over_its_limit(tmp_path, capsys):
+    # A 26-node spider is past the subset search's 24-node guard; the CLI
+    # refuses it with a usage error that points to the exact DP instead.
+    code, out, _ = run(capsys, "gen", "spider", "5", "5")
+    assert code == 0
+    path = tmp_path / "spider55.gr"
+    path.write_text(out)
+    code, out, err = run(capsys, "solve", "--ell", "2", "--method", "bf", str(path))
+    assert code == 2 and out == ""
+    assert "at most 24 nodes" in err and "--method dp" in err
+    assert "force" not in err
+
+
 def test_usage_errors(tmp_path, capsys, spider_file):
     # Missing round budget.
     code, _, err = run(capsys, "solve", "--method", "bf", spider_file)

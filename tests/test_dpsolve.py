@@ -22,6 +22,8 @@ from conftest import (
 from powerdom import dpsolve
 from powerdom.bruteforce import solve_bf
 from powerdom.dpsolve import (
+    NO_CAP,
+    UNOBSERVED,
     _greedy_upper_bound,
     _insert_may_dominate,
     _join_table,
@@ -250,11 +252,11 @@ def test_join_refuses_two_justifying_edges():
     def hatted(t):
         return {s: v for s, v in t.items() if s[-4] & 1}
 
-    adj_mask = [0b010, 0b101, 0b010]
     ctx = built[j][1]
+    assert ctx.open == 0  # the root has seen every node
     assert justified(left) and justified(right)
-    assert _join_table(ctx, justified(left), justified(right), ub, adj_mask, 0b111) == {}
-    joined = _join_table(ctx, justified(left), hatted(right), ub, adj_mask, 0b111)
+    assert _join_table(ctx, justified(left), justified(right), ub) == {}
+    joined = _join_table(ctx, justified(left), hatted(right), ub)
     assert joined and all(s[-3] == 1 and s[-4] == 0 for s in joined)
 
 
@@ -485,17 +487,49 @@ def test_skipped_dominance_sweeps_would_remove_nothing():
     # must already be free of dominated states.
     skipped = 0
     for g, targets, ell, ntd in _table_cases():
-        adj_mask = [sum(1 << w for w in g.adjacency[v]) for v in range(g.n)]
-        seen = [0] * len(ntd.nodes)
         for i, table, ctx in _solver_tables(g, targets, ell, ntd):
             nd = ntd.nodes[i]
-            seen[i] = sum(1 << v for v in nd.bag)
-            for c in nd.children:
-                seen[i] |= seen[c]
-            if nd.kind != "insert" or _insert_may_dominate(adj_mask, nd.bag, nd.node, seen[i]):
+            if nd.kind != "insert" or _insert_may_dominate(ctx, nd.node):
                 continue
             swept = dict(table)
-            _prune_dominated(swept, ctx, adj_mask, seen[i])
+            _prune_dominated(swept, ctx)
             assert swept == table, (g.edges, ell, i)
             skipped += 1
     assert skipped > 1000
+
+
+def test_bag_context_and_leaf_tables_match_references():
+    # A bag node is open when it has a neighbor outside the nodes of the
+    # bags in its nice node's subtree.  A leaf's table, built as an insert
+    # into the empty bag, must hold what the leaf rule gives: the origin at
+    # cost 1, UNOBSERVED off the targets, and hats 1..eb[v] while v is open.
+    leaves = 0
+    for g, targets, ell, ntd in _table_cases():
+        eb = _label_bounds(g, ell)
+        for i, table, ctx in _solver_tables(g, targets, ell, ntd):
+            nd = ntd.nodes[i]
+            below: set[int] = set()
+            stack = [i]
+            while stack:
+                j = stack.pop()
+                below |= ntd.nodes[j].bag
+                stack.extend(ntd.nodes[j].children)
+            want_open = {v for v in nd.bag if any(w not in below for w in g.adjacency[v])}
+            assert {v for v in ctx.nodes if ctx.open >> ctx.pos[v] & 1} == want_open, (
+                g.edges, ell, i)
+            if nd.kind != "leaf":
+                continue
+            want = {(0, 0, 0, 0): (0, (0, 0))}
+            for v in nd.bag:
+                options = [(0, 0)]
+                if v not in targets:
+                    options.append((UNOBSERVED, 0))
+                if v in want_open:
+                    options.extend((a, 1) for a in range(1, eb[v] + 1))
+                want = {
+                    (val, 0, -NO_CAP, hat, 0, 0, 0): (int(val == 0), (0, int(val == 0)))
+                    for val, hat in options
+                }
+            assert list(table.items()) == list(want.items()), (g.edges, ell, i)
+            leaves += 1
+    assert leaves > 700
