@@ -19,6 +19,15 @@ def _covers(closed: tuple[int, ...], sources: Iterable[int], tmask: int, ell: in
     return spread(closed, first, ell, stop=tmask) & tmask == tmask
 
 
+def first_cover(closed: tuple[int, ...], size: int, tmask: int, ell: int) -> frozenset[int] | None:
+    """First set of size nodes, in lexicographic order, observing every
+    node of tmask within ell rounds, or None when no such set exists."""
+    for combo in itertools.combinations(range(len(closed)), size):
+        if _covers(closed, combo, tmask, ell):
+            return frozenset(combo)
+    return None
+
+
 def solve_bf(
     g: Graph,
     targets: Iterable[int],
@@ -51,9 +60,9 @@ def solve_bf(
         tmask |= 1 << v
     max_size = g.n if size_cap is None else min(size_cap, g.n)
     for size in range(1, max_size + 1):
-        for combo in itertools.combinations(range(g.n), size):
-            if _covers(closed, combo, tmask, ell):
-                return size, frozenset(combo)
+        witness = first_cover(closed, size, tmask, ell)
+        if witness is not None:
+            return size, witness
     return None
 
 

@@ -23,6 +23,14 @@ dominance.  A table is a plain dict from state to (cost, back); back indexes
 the child tables in their final, pruned order, so a child's states can be
 dropped as soon as its parent's table is built.
 
+Tables are built only when they can pay.  solve_dp first holds a feasible
+set of size ub, the greedy one.  At ub <= 2 that set is optimal.  Above
+that, when at most SUBSET_LIMIT sets have 2 to ub - 1 nodes, it tries them
+outright, sizes downward from ub - 1, keeping the lexicographically first
+set of each size that observes every target.  Spreading is monotone in the
+origin set, so once no set of some size works, none of a smaller size does,
+and the last size that worked is optimal.
+
 Transitions generate only states that pass is_invalid_state.  They enforce
 the clauses by construction plus targeted rechecks of whatever each step can
 newly disturb, rather than re-running the full predicate per candidate; the
@@ -31,9 +39,10 @@ test suite audits stored tables against the predicate on small instances.
 
 from __future__ import annotations
 
-from math import inf as INF
+from math import comb, inf as INF
 from operator import itemgetter, le
 
+from powerdom.bruteforce import first_cover
 from powerdom.graphs import Graph
 from powerdom.propagation import is_feasible, spread
 from powerdom.treedecomp import NiceTreeDecomposition, heuristic_td, to_nice, validate_td
@@ -47,6 +56,10 @@ EDGE_REV = 2  # v -> u
 # absent cap admits every label, this one included.
 UNOBSERVED = 1 << 30
 NO_CAP = UNOBSERVED
+
+# solve_dp tries every set below the greedy bound, instead of building
+# tables, when there are at most this many.
+SUBSET_LIMIT = 20_000
 
 
 class BagContext:
@@ -292,12 +305,12 @@ def solve_dp(
     """Minimum-size set observing every target within ell rounds, exactly.
 
     ntd defaults to the nice form of a min-fill heuristic decomposition,
-    built only when the greedy bound leaves tables to build, and is
-    validated against g otherwise.  ell is clamped to n-1, beyond which
-    one more round can never help.  Returns (optimum, witness set); the
-    witness is the greedy set when nothing smaller exists.  When a dict is
-    passed as stats it receives the greedy upper bound and per-bag table
-    sizes, an empty list when no tables were needed.
+    built only when tables are built; a passed one is always validated
+    against g.  ell is clamped to n-1, beyond which one more round can
+    never help.  Returns (optimum, witness set); the witness is the greedy
+    set when nothing smaller exists.  When a dict is passed as stats it
+    receives the greedy upper bound and per-bag table sizes, an empty list
+    when no tables were built.
     """
     targets = frozenset(targets)
     if not targets <= frozenset(range(g.n)):
@@ -318,9 +331,17 @@ def solve_dp(
         stats["table_sizes"] = []
     opt, witness = ub, greedy_set
     # The greedy set is optimal at ub <= 2: a lone origin observing every
-    # target would be the greedy's first pick.  Above that, the tables
-    # search only below ub; a state's cost never falls towards the root.
-    if ub > 2:
+    # target would be the greedy's first pick.  Above that, few sets below
+    # ub are tried outright, the largest first; otherwise the tables search
+    # only below ub, since a state's cost never falls towards the root.
+    if ub > 2 and _few_subsets(g.n, ub):
+        tmask = sum(1 << v for v in targets)
+        for size in range(ub - 1, 1, -1):
+            found = first_cover(g.closed_masks(), size, tmask, ell)
+            if found is None:
+                break
+            opt, witness = size, found
+    elif ub > 2:
         if ntd is None:
             ntd = to_nice(heuristic_td(g))
         eb = _label_bounds(g, ell)
@@ -343,6 +364,16 @@ def solve_dp(
     if len(witness) != opt or not is_feasible(g, witness, targets, ell):
         raise RuntimeError("solution failed verification; this is an internal error")
     return (opt, witness)
+
+
+def _few_subsets(n: int, ub: int) -> bool:
+    """Are there at most SUBSET_LIMIT sets of 2 to ub - 1 of n nodes?"""
+    total = 0
+    for size in range(2, ub):
+        total += comb(n, size)
+        if total > SUBSET_LIMIT:
+            return False
+    return True
 
 
 def _post_order(ntd: NiceTreeDecomposition) -> list[int]:

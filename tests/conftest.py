@@ -2,8 +2,19 @@
 
 import math
 
+import pytest
+
+from powerdom import dpsolve
 from powerdom.graphs import Graph
 from powerdom.treedecomp import TreeDecomposition
+
+
+@pytest.fixture
+def dp_tables(monkeypatch):
+    """Make solve_dp build its tables whenever the greedy bound leaves room
+    below it, instead of trying the few smaller sets outright, so that
+    tests checking the DP reach it on tiny graphs."""
+    monkeypatch.setattr(dpsolve, "SUBSET_LIMIT", -1)
 
 
 def path_graph(n: int) -> Graph:

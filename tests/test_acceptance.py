@@ -43,6 +43,7 @@ def _report(num: int, name: str, failures: list) -> None:
     assert not failures, failures[:5]
 
 
+@pytest.mark.usefixtures("dp_tables")
 def test_criterion_01_oracle_equivalence():
     failures = []
     nx = pytest.importorskip("networkx")
@@ -71,6 +72,7 @@ def test_criterion_01_oracle_equivalence():
     _report(1, "oracle equivalence", failures)
 
 
+@pytest.mark.usefixtures("dp_tables")
 def test_criterion_02_spider_identities():
     failures = []
     for m in (2, 3, 4):
@@ -141,6 +143,7 @@ def _nested_polygon(sides: int) -> tuple[Graph, LevelAssignment]:
     return Graph(2 * sides, edges), LevelAssignment((1,) * sides + (2,) * sides)
 
 
+@pytest.mark.usefixtures("dp_tables")
 def test_criterion_05_approximation_ratio():
     def grid(r, c):
         es = []

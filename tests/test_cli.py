@@ -39,7 +39,7 @@ def test_generate_then_solve(spider_file, capsys):
     # The default method is the decomposition solver.
     code, out, _ = run(capsys, "solve", "--ell", "2", spider_file)
     assert code == 0
-    assert out == "opt 3\n3\n5\n8\n"
+    assert out == "opt 3\n2\n5\n8\n"
 
 
 def test_solve_json(spider_file, capsys):

@@ -39,6 +39,7 @@ from powerdom.propagation import is_feasible
 from powerdom.treedecomp import TreeDecomposition, heuristic_td, to_nice, validate_td
 
 
+@pytest.mark.usefixtures("dp_tables")
 def test_spider_identities():
     g = spider(3, 3)
     assert solve_dp(g, range(g.n), 3)[0] == 1
@@ -61,6 +62,7 @@ def test_empty_targets():
     assert solve_dp(path_graph(3), set(), 2) == (0, frozenset())
 
 
+@pytest.mark.usefixtures("dp_tables")
 def test_timing_leak_regression():
     # A pendant inserted above its hub after a long arm was forgotten used
     # to let a label-3 hub pretend its last neighbor was already checked.
@@ -86,26 +88,71 @@ def test_dense_shortcut_still_exact():
         assert is_feasible(g, witness, range(g.n), 1)
 
 
-def test_stats_hook():
-    # The 4x4 grid at ell=1: the greedy needs 6, the tables find 4.
-    g = grid_graph(4, 4)
-    stats: dict = {}
-    assert solve_dp(g, range(g.n), 1, stats=stats)[0] == 4
-    assert stats["upper_bound"] == 6
-    assert stats["table_sizes"] and all(s >= 1 for s in stats["table_sizes"])
+def test_stats_hook(monkeypatch):
     # At ub <= 2 the greedy set is optimal and no table is built.
     for g in (star_graph(6), cycle_graph(6)):
-        stats = {}
+        stats: dict = {}
         greedy = _greedy_upper_bound(g, frozenset(range(g.n)), 1)
         assert solve_dp(g, range(g.n), 1, stats=stats) == greedy
         assert greedy[0] <= 2 and stats["table_sizes"] == []
-    # The 3x3 grid at ell=1: the tables hold nothing below the greedy's 3,
-    # so the greedy set is the answer.
-    g = grid_graph(3, 3)
-    stats = {}
-    greedy = _greedy_upper_bound(g, frozenset(range(g.n)), 1)
-    assert solve_dp(g, range(g.n), 1, stats=stats) == greedy
-    assert greedy[0] == stats["upper_bound"] == 3 and stats["table_sizes"]
+    # At ell=1 the 4x4 grid's greedy needs 6 and the optimum is 4; on the
+    # 3x3 grid nothing is below the greedy's 3, so the greedy set is the
+    # answer.  Both have few enough sets below ub (6,868 and 36) to try
+    # them outright, so tables are built only with the limit lowered.
+    g4, g3 = grid_graph(4, 4), grid_graph(3, 3)
+    greedy3 = _greedy_upper_bound(g3, frozenset(range(g3.n)), 1)
+    for tables in (False, True):
+        if tables:
+            monkeypatch.setattr(dpsolve, "SUBSET_LIMIT", -1)
+        stats = {}
+        assert solve_dp(g4, range(g4.n), 1, stats=stats)[0] == 4
+        assert stats["upper_bound"] == 6
+        assert bool(stats["table_sizes"]) == tables and all(s >= 1 for s in stats["table_sizes"])
+        stats = {}
+        assert solve_dp(g3, range(g3.n), 1, stats=stats) == greedy3
+        assert greedy3[0] == stats["upper_bound"] == 3
+        assert bool(stats["table_sizes"]) == tables
+
+
+def _subset_search_cases():
+    """Every connected atlas graph of 5 to 7 nodes at every ell, with
+    seeded random targets, and the 4x4 grid at ell=1 (ub 6, optimum 4)."""
+    nx = pytest.importorskip("networkx")
+    rng = random.Random(5040)
+    atlas = [ag for ag in nx.graph_atlas_g()
+             if 5 <= ag.number_of_nodes() <= 7 and nx.is_connected(ag)]
+    for ag in atlas:
+        n = ag.number_of_nodes()
+        g = Graph(n, list(ag.edges()))
+        for ell in range(1, n):
+            targets = frozenset(v for v in range(n) if rng.random() < 0.7) or frozenset({0})
+            yield g, targets, ell
+    yield grid_graph(4, 4), frozenset(range(16)), 1
+
+
+def test_subset_search_matches_tables(monkeypatch):
+    cases = list(_subset_search_cases())
+    solved = []
+    for tables in (False, True):
+        if tables:
+            monkeypatch.setattr(dpsolve, "SUBSET_LIMIT", -1)
+        runs = []
+        for g, targets, ell in cases:
+            stats: dict = {}
+            opt, witness = solve_dp(g, targets, ell, stats=stats)
+            assert len(witness) == opt and is_feasible(g, witness, targets, ell)
+            runs.append((opt, stats["upper_bound"], bool(stats["table_sizes"])))
+        solved.append(runs)
+    searched = descended = 0
+    for (g, targets, ell), (opt, ub, tabled), (want, _, forced) in zip(cases, *solved):
+        assert opt == want, (g.edges, sorted(targets), ell)
+        if ub > 2:
+            # The default limit settles every case by the search; at -1
+            # every one builds tables.
+            assert not tabled and forced, (g.edges, sorted(targets), ell)
+            searched += 1
+            descended += opt <= ub - 2
+    assert searched >= 40 and descended >= 1, (searched, descended)
 
 
 def _reference_greedy(g, targets, ell):
@@ -156,6 +203,7 @@ def test_greedy_bound_matches_reference_greedy():
             g.edges, sorted(targets), ell)
 
 
+@pytest.mark.usefixtures("dp_tables")
 def test_matches_bruteforce_exhaustive_small():
     seen = set()
     for n in range(2, 5):
@@ -174,6 +222,7 @@ def test_matches_bruteforce_exhaustive_small():
                 ), (n, edges, ell)
 
 
+@pytest.mark.usefixtures("dp_tables")
 def test_matches_bruteforce_random_targets():
     rng = random.Random(2718)
     for _ in range(60):
@@ -188,6 +237,7 @@ def test_matches_bruteforce_random_targets():
         assert is_feasible(g, witness, targets, ell)
 
 
+@pytest.mark.usefixtures("dp_tables")
 def test_explicit_decomposition_paths():
     # Drive the join case deliberately: a star decomposition of a star graph
     # forces a branching bag, and a path decomposition exercises the chain.
@@ -262,8 +312,8 @@ def test_join_refuses_two_justifying_edges():
 
 # Optimum and per-nice-node table sizes (post order, after pruning) on the
 # default decomposition: first at the greedy bound ub, then as solve_dp
-# builds them, at ub - 1 and none when ub <= 2.  A change of state layout
-# must leave them as they are.
+# builds them with the subset search off, at ub - 1 and none when ub <= 2.
+# A change of state layout must leave them as they are.
 TABLE_SIZES = [
     (grid_graph(3, 3), 1, 3, [
         2, 6, 13, 13, 46, 114, 2, 6, 13, 13, 46, 114, 157, 108, 144, 2, 6, 13, 13, 25,
@@ -288,13 +338,19 @@ TABLE_SIZES = [
 ]
 
 
-def test_table_sizes_are_locked():
-    for g, ell, opt, sizes, solved_sizes in TABLE_SIZES:
+def test_table_sizes_are_locked(monkeypatch):
+    for g, ell, opt, sizes, _ in TABLE_SIZES:
         targets = frozenset(range(g.n))
         tables = _solver_tables(g, targets, ell, to_nice(heuristic_td(g)))
         assert [len(table) for _, table, _ in tables] == sizes, (g, ell)
+        # Every case has few enough sets below ub to try them outright.
         stats: dict = {}
         assert solve_dp(g, targets, ell, stats=stats)[0] == opt
+        assert stats["table_sizes"] == [], (g, ell)
+    monkeypatch.setattr(dpsolve, "SUBSET_LIMIT", -1)
+    for g, ell, opt, _, solved_sizes in TABLE_SIZES:
+        stats = {}
+        assert solve_dp(g, range(g.n), ell, stats=stats)[0] == opt
         assert stats["table_sizes"] == solved_sizes, (g, ell)
 
 
@@ -392,6 +448,7 @@ MILP_CASES = {
 
 
 @pytest.mark.parametrize("case", MILP_CASES)
+@pytest.mark.usefixtures("dp_tables")
 def test_matches_milp_beyond_bruteforce(case):
     # A third exact oracle, for graphs past solve_bf's 24-node guard.
     g, ell = MILP_CASES[case]

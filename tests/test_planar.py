@@ -1,4 +1,5 @@
 import itertools
+from pathlib import Path
 
 import pytest
 
@@ -6,7 +7,7 @@ from conftest import cycle_graph, grid_graph
 from powerdom import dpsolve, planar, treedecomp
 from powerdom.bruteforce import solve_bf
 from powerdom.generators import spider
-from powerdom.graphs import Graph, GraphFormatError, emit_graph
+from powerdom.graphs import Graph, GraphFormatError, emit_graph, parse_graph
 from powerdom.planar import (
     LevelAssignment,
     RotationSystem,
@@ -128,6 +129,7 @@ def test_ptas_exact_when_one_block_suffices():
     assert res.k == 12 and res.shift == 1
 
 
+@pytest.mark.usefixtures("dp_tables")
 def test_ptas_ratio_on_grids():
     for (r, c), ell, eps in [
         ((3, 4), 1, 1), ((3, 4), 2, 1), ((2, 6), 1, 0.5), ((3, 3), 2, 0.5),
@@ -153,8 +155,8 @@ def test_eps_domain():
 
 
 def test_ptas_builds_decompositions_only_for_table_blocks(monkeypatch):
-    # A block that the greedy bound settles needs no decomposition; every
-    # block solve that builds tables builds exactly one.
+    # A block settled without tables needs no decomposition; every block
+    # solve that builds tables builds exactly one.
     built = {"heuristic_td": 0, "to_nice": 0}
     for name in built:
         def counted(*args, _orig=getattr(treedecomp, name), _name=name):
@@ -173,6 +175,26 @@ def test_ptas_builds_decompositions_only_for_table_blocks(monkeypatch):
 
     monkeypatch.setattr(planar, "solve_dp", solve_and_record)
     g, lv = stacked_triangles(6)
+    # At the default limit the greedy bound or the subset search settles
+    # every block.
+    ptas_detailed(g, lv, 1, 1)
+    assert tabled and not any(tabled)
+    assert built == {"heuristic_td": 0, "to_nice": 0}
+    tabled.clear()
+    monkeypatch.setattr(dpsolve, "SUBSET_LIMIT", -1)
     ptas_detailed(g, lv, 1, 1)
     assert 0 < sum(tabled) < len(tabled)
     assert built == {"heuristic_td": sum(tabled), "to_nice": sum(tabled)}
+
+
+def test_two_ring_fixture_at_ell3_builds_no_tables():
+    # Size 2 is ruled out by trying C(16, 2) = 120 pairs; the tables it
+    # took before held up to 83,370 states, and the PTAS's blocks more.
+    text = (Path(__file__).parent / "fixtures" / "tworing.gr").read_text()
+    g = parse_graph(text)
+    stats: dict = {}
+    opt, _ = dpsolve.solve_dp(g, range(g.n), 3, stats=stats)
+    assert opt == solve_bf(g, range(g.n), 3)[0] == 3
+    assert stats["upper_bound"] == 3 and stats["table_sizes"] == []
+    res = ptas_detailed(g, parse_levels(text, g.n), 3, 1)
+    assert len(res.solution) == 3 and is_feasible(g, res.solution, range(g.n), 3)
