@@ -25,11 +25,16 @@ dropped as soon as its parent's table is built.
 
 Tables are built only when they can pay.  solve_dp first holds a feasible
 set of size ub, the greedy one.  At ub <= 2 that set is optimal.  Above
-that, when at most SUBSET_LIMIT sets have 2 to ub - 1 nodes, it tries them
-outright, sizes downward from ub - 1, keeping the lexicographically first
-set of each size that observes every target.  Spreading is monotone in the
-origin set, so once no set of some size works, none of a smaller size does,
-and the last size that worked is optimal.
+that, when no size from 2 to ub - 1 has more than SUBSET_LIMIT sets, it
+tries them outright, sizes downward from ub - 1, keeping the
+lexicographically first set of each size that observes every target.
+Spreading is monotone in the origin set, so once no set of some size works,
+none of a smaller size does, and the last size that worked is optimal.  The
+limit bounds the largest size rather than all of them together: a size above
+the optimum ends at an early set that works, so the search costs about one
+size tried in full.  A sum over the sizes would grow with every size below
+ub, and ub follows the greedy's tie-breaks, so relabellings of one graph
+would take different paths at very different costs.
 
 Transitions generate only states that pass is_invalid_state.  They enforce
 the clauses by construction plus targeted rechecks of whatever each step can
@@ -58,7 +63,7 @@ UNOBSERVED = 1 << 30
 NO_CAP = UNOBSERVED
 
 # solve_dp tries every set below the greedy bound, instead of building
-# tables, when there are at most this many.
+# tables, when no size has more than this many.
 SUBSET_LIMIT = 20_000
 
 
@@ -331,10 +336,11 @@ def solve_dp(
         stats["table_sizes"] = []
     opt, witness = ub, greedy_set
     # The greedy set is optimal at ub <= 2: a lone origin observing every
-    # target would be the greedy's first pick.  Above that, few sets below
-    # ub are tried outright, the largest first; otherwise the tables search
-    # only below ub, since a state's cost never falls towards the root.
-    if ub > 2 and _few_subsets(g.n, ub):
+    # target would be the greedy's first pick.  Above that, when no size
+    # below ub has many sets (their count peaks at n // 2), the sets are
+    # tried outright, the largest first; otherwise the tables search only
+    # below ub, since a state's cost never falls towards the root.
+    if ub > 2 and comb(g.n, min(ub - 1, g.n // 2)) <= SUBSET_LIMIT:
         tmask = sum(1 << v for v in targets)
         for size in range(ub - 1, 1, -1):
             found = first_cover(g.closed_masks(), size, tmask, ell)
@@ -364,16 +370,6 @@ def solve_dp(
     if len(witness) != opt or not is_feasible(g, witness, targets, ell):
         raise RuntimeError("solution failed verification; this is an internal error")
     return (opt, witness)
-
-
-def _few_subsets(n: int, ub: int) -> bool:
-    """Are there at most SUBSET_LIMIT sets of 2 to ub - 1 of n nodes?"""
-    total = 0
-    for size in range(2, ub):
-        total += comb(n, size)
-        if total > SUBSET_LIMIT:
-            return False
-    return True
 
 
 def _post_order(ntd: NiceTreeDecomposition) -> list[int]:

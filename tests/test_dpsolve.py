@@ -155,6 +155,23 @@ def test_subset_search_matches_tables(monkeypatch):
     assert searched >= 40 and descended >= 1, (searched, descended)
 
 
+def test_search_or_tables_does_not_follow_node_ids():
+    # The greedy's tie-breaks give the 3x6 grid at ell=1 a bound of 6 or 7
+    # depending on node ids.  Both bounds leave few enough sets of ub - 1
+    # nodes, so every relabelling is settled by the search, at the same
+    # optimum, rather than some taking the tables at ten times the cost.
+    rng = random.Random(36)
+    bounds = set()
+    for _ in range(40):
+        g = relabelled(grid_graph(3, 6), rng)
+        stats: dict = {}
+        opt, witness = solve_dp(g, range(g.n), 1, stats=stats)
+        assert opt == 5 and is_feasible(g, witness, range(g.n), 1)
+        assert stats["table_sizes"] == [], stats["upper_bound"]
+        bounds.add(stats["upper_bound"])
+    assert bounds == {6, 7}, bounds
+
+
 def _reference_greedy(g, targets, ell):
     """Add the node observing the most targets, lowest id among equals,
     until every target is observed; spreading by the naive oracle."""
