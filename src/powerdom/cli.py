@@ -16,6 +16,7 @@ import argparse
 import json
 import sys
 import time
+from contextlib import contextmanager
 
 from .bruteforce import NODE_LIMIT, solve_bf
 from .dpsolve import solve_dp
@@ -26,7 +27,7 @@ from .generators import (
     pendant_cycle,
     spider,
 )
-from .graphs import Graph, GraphFormatError, emit_graph, parse_graph
+from .graphs import Graph, emit_graph, parse_graph, parse_id, records
 from .ipmodels import (
     IpModel,
     build_ip_ell,
@@ -46,69 +47,52 @@ class CliError(Exception):
     """Bad usage or unparseable input; rendered to stderr with exit code 2."""
 
 
-def _read_text(path: str) -> str:
+@contextmanager
+def _read(path: str):
+    """The text of `path`, or of stdin for -; a ValueError raised while the
+    block parses it is reported as an error in that input."""
     if path == "-":
-        return sys.stdin.read()
+        text = sys.stdin.read()
+    else:
+        try:
+            with open(path, encoding="utf-8") as fh:
+                text = fh.read()
+        except OSError as exc:
+            raise CliError(f"{path}: {exc.strerror or exc}") from None
     try:
-        with open(path, encoding="utf-8") as fh:
-            return fh.read()
-    except OSError as exc:
-        raise CliError(f"{path}: {exc.strerror or exc}") from None
+        yield text
+    except ValueError as exc:
+        raise CliError(f"{_where(path)}: {exc}") from None
 
 
 def _where(path: str) -> str:
     return "<stdin>" if path == "-" else path
 
 
-def _load_graph(path: str) -> tuple[Graph, str]:
-    text = _read_text(path)
-    try:
-        return parse_graph(text), text
-    except GraphFormatError as exc:
-        raise CliError(f"{_where(path)}: {exc}") from None
+def _load_graph(path: str) -> Graph:
+    with _read(path) as text:
+        return parse_graph(text)
 
 
-def _parse_id_file(text: str, n: int, where: str) -> frozenset[int]:
-    ids = set()
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        parts = raw.split()
-        if not parts or parts[0] == "c":
-            continue
-        for tok in parts:
-            try:
-                v = int(tok)
-            except ValueError:
-                raise CliError(
-                    f"{where}: line {lineno}: bad node id {tok!r}"
-                ) from None
-            if not 1 <= v <= n:
-                raise CliError(
-                    f"{where}: line {lineno}: node id {v} out of range 1..{n}"
-                )
-            ids.add(v - 1)
-    return frozenset(ids)
+def _parse_id_file(path: str, n: int) -> frozenset[int]:
+    with _read(path) as text:
+        return frozenset(
+            parse_id(tok, n, lineno) for lineno, parts in records(text) for tok in parts
+        )
 
 
 def _parse_targets(spec: str, n: int) -> frozenset[int]:
     if spec == "all":
         return frozenset(range(n))
-    return _parse_id_file(_read_text(spec), n, _where(spec))
+    return _parse_id_file(spec, n)
 
 
 def _parse_sources(spec: str, n: int) -> frozenset[int]:
     # Accept a comma-separated inline list or a file of ids.
-    parts = spec.split(",")
-    if all(p.strip().lstrip("-").isdigit() for p in parts if p.strip()):
-        ids = set()
-        for p in parts:
-            if not p.strip():
-                continue
-            v = int(p)
-            if not 1 <= v <= n:
-                raise CliError(f"source node id {v} out of range 1..{n}")
-            ids.add(v - 1)
-        return frozenset(ids)
-    return _parse_id_file(_read_text(spec), n, _where(spec))
+    parts = [p for p in spec.split(",") if p.strip()]
+    if all(p.strip().lstrip("-").isdigit() for p in parts):
+        return frozenset(parse_id(p, n) for p in parts)
+    return _parse_id_file(spec, n)
 
 
 def _require_ell(args) -> int:
@@ -121,7 +105,9 @@ def _require_ell(args) -> int:
 
 def _cmd_solve(args) -> int:
     ell = _require_ell(args)
-    g, gtext = _load_graph(args.graph)
+    with _read(args.graph) as text:
+        g = parse_graph(text)
+        levels = parse_levels(text, g.n) if args.method == "ptas" else None
     if args.td is not None and args.method != "dp":
         raise CliError("--td only applies to --method dp")
     if args.eps is not None and args.method != "ptas":
@@ -142,10 +128,8 @@ def _cmd_solve(args) -> int:
     elif args.method == "dp":
         ntd = None
         if args.td is not None:
-            try:
-                ntd = to_nice(parse_td(_read_text(args.td)))
-            except GraphFormatError as exc:
-                raise CliError(f"{_where(args.td)}: {exc}") from None
+            with _read(args.td) as text:
+                ntd = to_nice(parse_td(text))
         run_stats: dict = {}
         opt, witness = solve_dp(g, targets, ell, ntd, stats=run_stats)
         payload["state_table_sizes"] = run_stats.get("table_sizes", [])
@@ -155,7 +139,6 @@ def _cmd_solve(args) -> int:
             raise CliError("--eps is required with --method ptas")
         if args.targets != "all":
             raise CliError("the approximation covers all nodes; --targets must be 'all'")
-        levels = parse_levels(gtext, g.n)
         if levels is None:
             raise CliError(
                 f"{_where(args.graph)}: no level lines; the approximation needs a leveled graph"
@@ -188,7 +171,7 @@ def _cmd_solve(args) -> int:
 
 
 def _cmd_closure(args) -> int:
-    g, _ = _load_graph(args.graph)
+    g = _load_graph(args.graph)
     sources = _parse_sources(args.sources, g.n)
     if args.ell is None:
         k = max(1, g.n)
@@ -203,17 +186,10 @@ def _cmd_closure(args) -> int:
 
 def _cmd_verify_orientation(args) -> int:
     ell = _require_ell(args)
-    g, _ = _load_graph(args.graph)
-    text = _read_text(args.orientation)
-    try:
-        to = parse_orientation(text, g.n, ell)
-    except GraphFormatError as exc:
-        raise CliError(f"{_where(args.orientation)}: {exc}") from None
+    g = _load_graph(args.graph)
     targets = _parse_targets(args.targets, g.n)
-    try:
-        bad = validate(g, to, targets)
-    except ValueError as exc:
-        raise CliError(f"{_where(args.orientation)}: {exc}") from None
+    with _read(args.orientation) as text:
+        bad = validate(g, parse_orientation(text, g.n, ell), targets)
     if bad is None:
         print("ok")
         return 0
@@ -248,16 +224,13 @@ def _cmd_gen(args) -> int:
         if not params or len(params) > 2:
             raise CliError("expected gen attach-paths <ell> [graph-file]")
         (ell,) = _int_params(params[:1], 1, "gen attach-paths <ell> [graph-file]")
-        g, _ = _load_graph(params[1] if len(params) > 1 else "-")
+        g = _load_graph(params[1] if len(params) > 1 else "-")
         sys.stdout.write(emit_graph(attach_paths(g, ell)))
     else:
         if len(params) > 1:
             raise CliError("expected gen minrep [instance-file]")
-        path = params[0] if params else "-"
-        try:
-            inst = parse_minrep(_read_text(path))
-        except GraphFormatError as exc:
-            raise CliError(f"{_where(path)}: {exc}") from None
+        with _read(params[0] if params else "-") as text:
+            inst = parse_minrep(text)
         built, info = minrep_to_pds(inst)
         comments = [f"role {v + 1} {r}" for v, r in enumerate(info.roles)]
         sys.stdout.write(emit_graph(built, comments=comments))
@@ -274,22 +247,17 @@ def _build_model(args, g: Graph) -> IpModel:
 
 
 def _cmd_emit_ip(args) -> int:
-    g, _ = _load_graph(args.graph)
+    g = _load_graph(args.graph)
     sys.stdout.write(emit_lp(_build_model(args, g), relax=args.relax))
     return 0
 
 
 def _cmd_check_ip(args) -> int:
-    g, _ = _load_graph(args.graph)
+    g = _load_graph(args.graph)
     model = _build_model(args, g)
-    try:
-        sol = parse_solution(_read_text(args.solution))
-    except ValueError as exc:
-        raise CliError(f"{_where(args.solution)}: {exc}") from None
-    try:
+    with _read(args.solution) as text:
+        sol = parse_solution(text)
         violated = check_assignment(model, sol)
-    except ValueError as exc:
-        raise CliError(f"{_where(args.solution)}: {exc}") from None
     if violated:
         for tag in violated:
             print(tag)
@@ -300,17 +268,15 @@ def _cmd_check_ip(args) -> int:
 
 
 def _cmd_td(args) -> int:
-    g, _ = _load_graph(args.graph)
+    g = _load_graph(args.graph)
     sys.stdout.write(emit_td(heuristic_td(g)))
     return 0
 
 
 def _cmd_levels(args) -> int:
-    g, gtext = _load_graph(args.graph)
-    try:
-        la = parse_levels(gtext, g.n)
-    except GraphFormatError as exc:
-        raise CliError(f"{_where(args.graph)}: {exc}") from None
+    with _read(args.graph) as text:
+        g = parse_graph(text)
+        la = parse_levels(text, g.n)
     if la is None:
         print("no level lines in graph file")
         return 1
@@ -398,10 +364,7 @@ def main(argv: list[str] | None = None) -> int:
         return 0 if exc.code in (0, None) else 2
     try:
         return args.func(args)
-    except CliError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except ValueError as exc:
+    except (CliError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except RuntimeError as exc:

@@ -6,7 +6,15 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable
 
-from powerdom.graphs import Graph, GraphFormatError
+from powerdom.graphs import MAX_NODES, Graph, GraphFormatError, parse_id, records
+
+
+def _bounded(n: int) -> int:
+    """The node count of a graph about to be built, refused before anything
+    is allocated when parse_graph would refuse it."""
+    if n > MAX_NODES:
+        raise ValueError(f"the graph would have {n} nodes, over the limit {MAX_NODES}")
+    return n
 
 
 def spider(m: int, k: int) -> Graph:
@@ -17,22 +25,24 @@ def spider(m: int, k: int) -> Graph:
     """
     if m < 1 or k < 1:
         raise ValueError("spider needs m >= 1 paths of length k >= 1")
+    n = _bounded(k * m + 1)
     edges = []
     for p in range(m):
         base = 1 + p * k
         edges.append((0, base))
         for i in range(k - 1):
             edges.append((base + i, base + i + 1))
-    return Graph(k * m + 1, edges)
+    return Graph(n, edges)
 
 
 def pendant_cycle(m: int) -> Graph:
     """Cycle 0..m-1 with a pendant node m+i hanging off each cycle node i."""
     if m < 3:
         raise ValueError("cycle length must be >= 3")
+    n = _bounded(2 * m)
     edges = [(i, (i + 1) % m) for i in range(m)]
     edges += [(i, m + i) for i in range(m)]
-    return Graph(2 * m, edges)
+    return Graph(n, edges)
 
 
 def attach_paths(g: Graph, ell: int) -> Graph:
@@ -46,13 +56,14 @@ def attach_paths(g: Graph, ell: int) -> Graph:
         raise ValueError("round budget ell must be >= 1")
     if ell == 1:
         return g
+    n = _bounded(g.n * ell)
     edges = list(g.edges)
     for v in range(g.n):
         base = g.n + v * (ell - 1)
         edges.append((v, base))
         for j in range(ell - 2):
             edges.append((base + j, base + j + 1))
-    return Graph(g.n * ell, edges)
+    return Graph(n, edges)
 
 
 # --------------------------------------------------------------------------
@@ -151,14 +162,10 @@ def minrep_cover_bf(inst: MinRepInstance) -> tuple[int, frozenset[int]]:
 
 def parse_minrep(text: str) -> MinRepInstance:
     """Text form: `minrep <q_a> <m_a> <q_b> <m_b>` then `e <a> <b>` lines
-    with 1-based side-local indices; `c` lines are comments."""
+    with 1-based side-local indices."""
     header = None
     edges = []
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("c"):
-            continue
-        parts = line.split()
+    for lineno, parts in records(text):
         if parts[0] == "minrep":
             if header is not None:
                 raise GraphFormatError("duplicate header line", lineno)
@@ -175,11 +182,9 @@ def parse_minrep(text: str) -> MinRepInstance:
                 raise GraphFormatError("edge line before header", lineno)
             if len(parts) != 3:
                 raise GraphFormatError("edge line must be 'e <a> <b>'", lineno)
-            try:
-                a, b = int(parts[1]), int(parts[2])
-            except ValueError:
-                raise GraphFormatError("non-integer element index", lineno) from None
-            edges.append((a - 1, b - 1))
+            q_a, m_a, q_b, m_b = header
+            edges.append((parse_id(parts[1], q_a * m_a, lineno),
+                          parse_id(parts[2], q_b * m_b, lineno)))
         else:
             raise GraphFormatError(f"unknown line type {parts[0]!r}", lineno)
     if header is None:
@@ -245,6 +250,10 @@ def minrep_to_pds(inst: MinRepInstance) -> tuple[Graph, ReductionInfo]:
     center exactly when both u and v are observed in round 1.  The minimum
     source set is exactly one larger than the minimum cover.
     """
+    supers = inst.super_edges()
+    # Per copy of a super-edge: its center, and u, v, d and two 3-node arms
+    # per edge.
+    n = _bounded(4 + inst.n_elements + LAMBDA_COPIES * (len(supers) + 9 * len(inst.edges)))
     roles = [f"a{a}" for a in range(inst.n_a)] + [f"b{b}" for b in range(inst.n_b)]
     edges: list[tuple[int, int]] = []
 
@@ -257,7 +266,7 @@ def minrep_to_pds(inst: MinRepInstance) -> tuple[Graph, ReductionInfo]:
     pendants = tuple(fresh(f"w*{i}") for i in (1, 2, 3))
     edges += [(w_star, p) for p in pendants]
 
-    for s, (i, j) in enumerate(inst.super_edges()):
+    for s, (i, j) in enumerate(supers):
         for t in range(LAMBDA_COPIES):
             prefix = f"se{s}.c{t}"
             center = fresh(f"{prefix}.center")
@@ -277,7 +286,5 @@ def minrep_to_pds(inst: MinRepInstance) -> tuple[Graph, ReductionInfo]:
                     edges += [(ids[x], ids[y]) for x, y in CONNECTOR_EDGES]
                     edges += [(ids[name], w_star) for name in CONNECTOR_DASHED]
 
-    n = len(roles)
-    bound = 4 + inst.n_elements + 10 * LAMBDA_COPIES * len(inst.edges)
-    assert n <= bound, f"construction grew beyond its size bound: {n} > {bound}"
+    assert len(roles) == n, f"construction built {len(roles)} nodes, not {n}"
     return Graph(n, edges), ReductionInfo(w_star, pendants, tuple(roles))

@@ -6,7 +6,7 @@ tool) numbers nodes from 1, matching the usual edge-list conventions.
 
 from __future__ import annotations
 
-from typing import Iterable
+from typing import Iterable, Iterator
 
 
 # Largest node count a graph file may declare; checked on the problem line,
@@ -15,7 +15,7 @@ MAX_NODES = 10**6
 
 
 class GraphFormatError(ValueError):
-    """A graph or decomposition file could not be parsed.
+    """A text input (graph, decomposition, orientation, ...) could not be parsed.
 
     Carries the 1-based line number of the offending line when known.
     """
@@ -108,21 +108,52 @@ def induced_subgraph(g: Graph, keep: Iterable[int]) -> tuple[Graph, dict[int, in
     return Graph(len(kept), edges), idmap
 
 
+def records(text: str) -> Iterator[tuple[int, list[str]]]:
+    """The 1-based line number and the tokens of each record of a text format.
+
+    Every format this package reads skips blank lines and comment lines,
+    whose first token starts with `c`.
+    """
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        parts = raw.split()
+        if parts and parts[0][0] != "c":
+            yield lineno, parts
+
+
+def parse_id(token: str, n: int, line: int | None = None) -> int:
+    """The 0-based id of a 1-based id in 1..n, as files and the CLI write it;
+    anything else is a GraphFormatError naming `line`."""
+    try:
+        v = int(token)
+    except ValueError:
+        raise GraphFormatError(f"non-integer id {token!r}", line) from None
+    if 0 < v <= n:
+        return v - 1
+    raise GraphFormatError(f"id {v} out of range 1..{n}", line)
+
+
 def parse_graph(text: str) -> Graph:
     """Parse the `p edge <n> <m>` / `e <u> <v>` format (1-based node ids).
 
-    Comment lines start with `c`.  Level lines (`l <v> <level>`) are allowed
-    and skipped here; use powerdom.planar.parse_levels to read them.
+    Level lines (`l <v> <level>`) are allowed and skipped here; use
+    powerdom.planar.parse_levels to read them.
     """
     n = None
     declared_m = None
     edges: list[tuple[int, int]] = []
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("c"):
-            continue
-        parts = line.split()
-        if parts[0] == "p":
+    for lineno, parts in records(text):
+        kind = parts[0]
+        if kind == "e":
+            if n is None:
+                raise GraphFormatError("edge line before problem line", lineno)
+            if len(parts) != 3:
+                raise GraphFormatError("edge line must be 'e <u> <v>'", lineno)
+            u = parse_id(parts[1], n, lineno)
+            v = parse_id(parts[2], n, lineno)
+            if u == v:
+                raise GraphFormatError("self-loop", lineno)
+            edges.append((u, v))
+        elif kind == "p":
             if n is not None:
                 raise GraphFormatError("duplicate problem line", lineno)
             if len(parts) != 4 or parts[1] != "edge":
@@ -136,24 +167,8 @@ def parse_graph(text: str) -> Graph:
                 raise GraphFormatError("negative counts in problem line", lineno)
             if n > MAX_NODES:
                 raise GraphFormatError(f"node count {n} exceeds the limit {MAX_NODES}", lineno)
-        elif parts[0] == "e":
-            if n is None:
-                raise GraphFormatError("edge line before problem line", lineno)
-            if len(parts) != 3:
-                raise GraphFormatError("edge line must be 'e <u> <v>'", lineno)
-            try:
-                u, v = int(parts[1]), int(parts[2])
-            except ValueError:
-                raise GraphFormatError("non-integer node id", lineno) from None
-            if not (1 <= u <= n and 1 <= v <= n):
-                raise GraphFormatError(f"node id out of range 1..{n}", lineno)
-            if u == v:
-                raise GraphFormatError("self-loop", lineno)
-            edges.append((u - 1, v - 1))
-        elif parts[0] == "l":
-            continue
-        else:
-            raise GraphFormatError(f"unknown line type {parts[0]!r}", lineno)
+        elif kind != "l":
+            raise GraphFormatError(f"unknown line type {kind!r}", lineno)
     if n is None:
         raise GraphFormatError("missing problem line")
     if declared_m != len(edges):

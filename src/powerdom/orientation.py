@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from powerdom.graphs import Graph, GraphFormatError
+from powerdom.graphs import Graph, GraphFormatError, parse_id, records
 from powerdom.propagation import INF, PropagationTrace
 
 
@@ -145,39 +145,25 @@ def parse_orientation(text: str, n: int, ell: int) -> TimedOrientation:
     directed = set()
     undirected = set()
     times: list[float] = [INF] * n
-
-    def node(tok: str, lineno: int) -> int:
-        try:
-            v = int(tok)
-        except ValueError:
-            raise GraphFormatError(f"non-integer node id {tok!r}", lineno) from None
-        if not (1 <= v <= n):
-            raise GraphFormatError(f"node id out of range 1..{n}", lineno)
-        return v - 1
-
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("c"):
-            continue
-        parts = line.split()
-        if parts[0] == "d" and len(parts) == 3:
-            directed.add((node(parts[1], lineno), node(parts[2], lineno)))
-        elif parts[0] == "u" and len(parts) == 3:
-            a, b = node(parts[1], lineno), node(parts[2], lineno)
+    for lineno, parts in records(text):
+        kind = parts[0]
+        if len(parts) != 3 or kind not in ("d", "u", "t"):
+            raise GraphFormatError(f"unrecognized orientation line {' '.join(parts)!r}", lineno)
+        a = parse_id(parts[1], n, lineno)
+        if kind == "d":
+            directed.add((a, parse_id(parts[2], n, lineno)))
+        elif kind == "u":
+            b = parse_id(parts[2], n, lineno)
             undirected.add((a, b) if a < b else (b, a))
-        elif parts[0] == "t" and len(parts) == 3:
-            v = node(parts[1], lineno)
-            if parts[2] == "inf":
-                times[v] = INF
-            else:
-                try:
-                    times[v] = int(parts[2])
-                except ValueError:
-                    raise GraphFormatError(
-                        f"label must be an integer or 'inf', got {parts[2]!r}", lineno
-                    ) from None
+        elif parts[2] == "inf":
+            times[a] = INF
         else:
-            raise GraphFormatError(f"unrecognized orientation line {line!r}", lineno)
+            try:
+                times[a] = int(parts[2])
+            except ValueError:
+                raise GraphFormatError(
+                    f"label must be an integer or 'inf', got {parts[2]!r}", lineno
+                ) from None
     return TimedOrientation(frozenset(directed), frozenset(undirected), tuple(times), ell)
 
 

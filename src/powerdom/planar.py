@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from powerdom.dpsolve import solve_dp
-from powerdom.graphs import Graph, GraphFormatError, induced_subgraph
+from powerdom.graphs import Graph, GraphFormatError, induced_subgraph, parse_id, records
 from powerdom.propagation import is_feasible
 
 
@@ -144,23 +144,21 @@ def parse_levels(text: str, n: int) -> LevelAssignment | None:
     assignment is an error.
     """
     level: dict[int, int] = {}
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        parts = raw.strip().split()
-        if not parts or parts[0] != "l":
+    for lineno, parts in records(text):
+        if parts[0] != "l":
             continue
         if len(parts) != 3:
             raise GraphFormatError("level line must be 'l <node> <level>'", lineno)
+        v = parse_id(parts[1], n, lineno)
         try:
-            v, lv = int(parts[1]), int(parts[2])
+            lv = int(parts[2])
         except ValueError:
-            raise GraphFormatError("non-integer level line", lineno) from None
-        if not (1 <= v <= n):
-            raise GraphFormatError(f"node id out of range 1..{n}", lineno)
+            raise GraphFormatError("non-integer level", lineno) from None
         if lv < 1:
             raise GraphFormatError("levels start at 1", lineno)
-        if v - 1 in level:
-            raise GraphFormatError(f"duplicate level for node {v}", lineno)
-        level[v - 1] = lv
+        if v in level:
+            raise GraphFormatError(f"duplicate level for node {v + 1}", lineno)
+        level[v] = lv
     if not level:
         return None
     missing = [v for v in range(n) if v not in level]

@@ -7,7 +7,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from heapq import heapify, heappop, heappush
 
-from powerdom.graphs import Graph, GraphFormatError
+from powerdom.graphs import Graph, GraphFormatError, parse_id, records
 
 
 @dataclass(frozen=True)
@@ -247,17 +247,15 @@ def to_nice(td: TreeDecomposition) -> NiceTreeDecomposition:
 
 def parse_td(text: str) -> TreeDecomposition:
     """PACE-style: `s td <#bags> <width+1> <n>`, `b <i> <v...>` with 1-based
-    ids, then one `<i> <j>` line per tree edge."""
+    ids, then one `<i> <j>` line per tree edge.
+
+    The declared bag count must be one more than the number of tree edges;
+    that is checked before a list of that many bags is built.
+    """
     header = None
     bags: dict[int, frozenset[int]] = {}
     edges = []
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line:
-            continue
-        parts = line.split()
-        if parts[0] == "c":
-            continue
+    for lineno, parts in records(text):
         if parts[0] == "s":
             if header is not None:
                 raise GraphFormatError("duplicate solution line", lineno)
@@ -267,36 +265,30 @@ def parse_td(text: str) -> TreeDecomposition:
                 header = (int(parts[2]), int(parts[3]), int(parts[4]))
             except ValueError:
                 raise GraphFormatError("non-integer header fields", lineno) from None
+            header_line = lineno
         elif parts[0] == "b":
             if header is None:
                 raise GraphFormatError("bag line before header", lineno)
-            try:
-                idx = int(parts[1])
-                content = [int(x) for x in parts[2:]]
-            except ValueError:
-                raise GraphFormatError("non-integer bag entry", lineno) from None
-            if not (1 <= idx <= header[0]):
-                raise GraphFormatError(f"bag index out of range 1..{header[0]}", lineno)
-            if idx - 1 in bags:
-                raise GraphFormatError(f"duplicate bag {idx}", lineno)
-            for v in content:
-                if not (1 <= v <= header[2]):
-                    raise GraphFormatError(f"bag node out of range 1..{header[2]}", lineno)
-            bags[idx - 1] = frozenset(v - 1 for v in content)
+            if len(parts) < 2:
+                raise GraphFormatError("bag line must be 'b <i> <v...>'", lineno)
+            idx = parse_id(parts[1], header[0], lineno)
+            if idx in bags:
+                raise GraphFormatError(f"duplicate bag {idx + 1}", lineno)
+            bags[idx] = frozenset(parse_id(v, header[2], lineno) for v in parts[2:])
         else:
             if len(parts) != 2:
-                raise GraphFormatError(f"unrecognized line {line!r}", lineno)
+                raise GraphFormatError(f"unrecognized line {' '.join(parts)!r}", lineno)
             if header is None:
                 raise GraphFormatError("tree edge before header", lineno)
-            try:
-                i, j = int(parts[0]), int(parts[1])
-            except ValueError:
-                raise GraphFormatError(f"unrecognized line {line!r}", lineno) from None
-            if not (1 <= i <= header[0] and 1 <= j <= header[0]):
-                raise GraphFormatError("tree edge bag index out of range", lineno)
-            edges.append((i - 1, j - 1))
+            edges.append((parse_id(parts[0], header[0], lineno),
+                          parse_id(parts[1], header[0], lineno)))
     if header is None:
         raise GraphFormatError("missing 's td' header line")
+    if header[0] != len(edges) + 1:
+        raise GraphFormatError(
+            f"header declares {header[0]} bags, but {len(edges)} tree edges "
+            f"make a tree on {len(edges) + 1}", header_line
+        )
     full = tuple(bags.get(i, frozenset()) for i in range(header[0]))
     try:
         return TreeDecomposition(full, tuple(edges))

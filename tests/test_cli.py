@@ -193,6 +193,35 @@ def test_oversized_node_count_is_refused(tmp_path, capsys):
     assert "line 2" in err and "1000000000" in err
 
 
+def test_oversized_td_header_is_refused(tmp_path, capsys):
+    # The header alone would have the parser build a hundred million bags;
+    # a tree on that many needs that many edge lines, which the file lacks.
+    graph = tmp_path / "p3.gr"
+    graph.write_text(P3)
+    td = tmp_path / "big.td"
+    td.write_text("s td 100000000 1 3\n")
+    code, out, err = run(capsys, "solve", "--ell", "1", "--td", str(td), str(graph))
+    assert code == 2 and out == ""
+    assert f"{td}: line 1" in err and "100000000 bags" in err
+
+
+@pytest.mark.parametrize("params", [
+    ("spider", "10000", "10000"),
+    ("pendant-cycle", "100000000"),
+    ("attach-paths", "100000000", "p3.gr"),
+    ("minrep", "big.minrep"),
+])
+def test_gen_refuses_graphs_over_the_node_limit(params, tmp_path, capsys, monkeypatch):
+    # Each would allocate per-node lists for 10^8 nodes or more; the node
+    # count is refused first, at the limit parse_graph applies.
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "p3.gr").write_text(P3)
+    (tmp_path / "big.minrep").write_text("minrep 100000 100000 1 1\n")
+    code, out, err = run(capsys, "gen", *params)
+    assert code == 2 and out == ""
+    assert "over the limit 1000000" in err
+
+
 def test_bruteforce_refuses_graphs_over_its_limit(tmp_path, capsys):
     # A 26-node spider is past the subset search's 24-node guard; the CLI
     # refuses it with a usage error that points to the exact DP instead.

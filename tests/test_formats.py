@@ -1,0 +1,76 @@
+"""The contract every line-oriented input shares: blank lines and lines whose
+first token starts with `c` are skipped, and a bad 1-based id names its line.
+"""
+
+import pytest
+
+from powerdom.cli import main
+from powerdom.generators import parse_minrep
+from powerdom.graphs import GraphFormatError, parse_graph
+from powerdom.orientation import parse_orientation
+from powerdom.planar import parse_levels
+from powerdom.treedecomp import parse_td
+
+COMMENTS = ("c", "c note", "comment x")
+
+# name -> (parser, a valid input, lines that must come before an id line,
+# an id line with {} for the id, the largest valid id).
+FORMATS = {
+    "graph": (parse_graph, "p edge 3 2\ne 1 2\ne 2 3\n", "p edge 3 2", "e 1 {}", 3),
+    "td-bag": (parse_td, "s td 2 2 3\nb 1 1 2\nb 2 2 3\n1 2\n", "s td 2 2 3", "b 1 1 {}", 3),
+    "td-edge": (parse_td, "s td 2 2 3\nb 1 1 2\nb 2 2 3\n1 2\n", "s td 2 2 3", "1 {}", 2),
+    "levels": (lambda text: parse_levels(text, 2), "p edge 2 1\ne 1 2\nl 1 1\nl 2 2\n",
+               "p edge 2 1", "l {} 1", 2),
+    "orientation": (lambda text: parse_orientation(text, 3, 2),
+                    "d 1 2\nd 2 3\nt 1 0\nt 2 1\nt 3 2\n", "t 1 0", "d 1 {}", 3),
+    "minrep": (parse_minrep, "minrep 1 2 1 2\ne 1 1\ne 2 2\n", "minrep 1 2 1 2", "e 1 {}", 2),
+    "targets": (None, "1\n3\n", "1 2", "3 {}", 3),
+}
+
+
+class CliFailed(Exception):
+    pass
+
+
+@pytest.fixture(params=list(FORMATS))
+def fmt(request, tmp_path, capsys):
+    """A FORMATS entry.  For `targets` the parser runs `solve --targets FILE`
+    on a path on 3 nodes and returns its output or raises with its error."""
+    parse, *rest = FORMATS[request.param]
+    if parse is None:
+        graph = tmp_path / "p3.gr"
+        graph.write_text("p edge 3 2\ne 1 2\ne 2 3\n")
+        targets = tmp_path / "targets"
+
+        def parse(text):
+            targets.write_text(text)
+            code = main(["solve", "--ell", "1", "--targets", str(targets), str(graph)])
+            captured = capsys.readouterr()
+            if code:
+                raise CliFailed(captured.err)
+            return captured.out
+
+    return parse, *rest
+
+
+def commented(text: str) -> str:
+    return "".join(f"{c}\n" for line in text.splitlines() for c in (*COMMENTS, line))
+
+
+def test_comment_lines_are_skipped(fmt):
+    parse, plain, *_ = fmt
+    assert parse(commented(plain)) == parse(plain)
+
+
+@pytest.mark.parametrize("bad", ["x", "0", "max+1"])
+def test_bad_ids_name_their_line(fmt, bad):
+    parse, _, head, line, largest = fmt
+    token = str(largest + 1) if bad == "max+1" else bad
+    text = commented(head) + line.format(token) + "\n"
+    lineno = len(text.splitlines())
+    with pytest.raises((GraphFormatError, CliFailed)) as exc:
+        parse(text)
+    assert f"line {lineno}: " in str(exc.value)
+    assert (repr(token) if bad == "x" else f"1..{largest}") in str(exc.value)
+    if isinstance(exc.value, GraphFormatError):
+        assert exc.value.line == lineno

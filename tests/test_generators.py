@@ -92,8 +92,6 @@ def test_minrep_parse_emit_round_trip():
         parse_minrep("e 1 1\n")
     with pytest.raises(GraphFormatError):
         parse_minrep("minrep 1 1 1\n")
-    with pytest.raises(GraphFormatError):
-        parse_minrep("minrep 1 1 1 1\ne 2 1\n")
 
 
 def test_minrep_reduction_size_bound():

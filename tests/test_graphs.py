@@ -58,17 +58,16 @@ def test_parse_skips_comments_and_level_lines():
 
 
 def test_parse_errors_carry_line_numbers():
-    with pytest.raises(GraphFormatError) as exc:
-        parse_graph("p edge 2 1\ne 1 3\n")
-    assert exc.value.line == 2
-    with pytest.raises(GraphFormatError):
-        parse_graph("e 1 2\n")
-    with pytest.raises(GraphFormatError):
-        parse_graph("p edge 2 2\ne 1 2\n")
-    with pytest.raises(GraphFormatError):
-        parse_graph("p edge 2 1\nq 1 2\n")
-    with pytest.raises(GraphFormatError):
-        parse_graph("")
+    # Bad ids are covered for every format in test_formats.
+    for text, line in (
+        ("e 1 2\n", 1),
+        ("p edge 2 1\nq 1 2\n", 2),
+        ("p edge 2 2\ne 1 2\n", None),
+        ("", None),
+    ):
+        with pytest.raises(GraphFormatError) as exc:
+            parse_graph(text)
+        assert exc.value.line == line
 
 
 def test_emit_levels_and_comments():

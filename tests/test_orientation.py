@@ -142,6 +142,4 @@ def test_parse_rejects_garbage():
     with pytest.raises(GraphFormatError):
         parse_orientation("t 1 maybe\n", 3, 2)
     with pytest.raises(GraphFormatError):
-        parse_orientation("d 0 1\n", 3, 2)
-    with pytest.raises(GraphFormatError):
         parse_orientation("x 1 2\n", 3, 2)

@@ -239,4 +239,8 @@ def test_parse_td_errors():
     with pytest.raises(GraphFormatError):
         parse_td("s td 2 1 3\nb 1 1\nb 2 2\n")
     with pytest.raises(GraphFormatError):
-        parse_td("s td 2 1 3\nb 1 1\nb 2 2\n1 2\n3 1\n")
+        parse_td("s td 2 1 3\nb 1 1\nb 2 2\n1 2\n1 2\n")
+    # A bare bag line names its line instead of failing on a missing index.
+    with pytest.raises(GraphFormatError) as exc:
+        parse_td("s td 1 1 1\nb\n")
+    assert exc.value.line == 2
