@@ -19,10 +19,14 @@ def _covers(closed: tuple[int, ...], sources: Iterable[int], tmask: int, ell: in
     return spread(closed, first, ell, stop=tmask) & tmask == tmask
 
 
-def first_cover(closed: tuple[int, ...], size: int, tmask: int, ell: int) -> frozenset[int] | None:
-    """First set of size nodes, in lexicographic order, observing every
-    node of tmask within ell rounds, or None when no such set exists."""
-    for combo in itertools.combinations(range(len(closed)), size):
+def first_cover(
+    closed: tuple[int, ...], size: int, tmask: int, ell: int, nodes: Iterable[int] | None = None
+) -> frozenset[int] | None:
+    """First set of size nodes from nodes (default: every node), in
+    lexicographic order, observing every node of tmask within ell rounds,
+    or None when no such set exists."""
+    pool = range(len(closed)) if nodes is None else nodes
+    for combo in itertools.combinations(pool, size):
         if _covers(closed, combo, tmask, ell):
             return frozenset(combo)
     return None

@@ -134,6 +134,7 @@ def _cmd_solve(args) -> int:
         opt, witness = solve_dp(g, targets, ell, ntd, stats=run_stats)
         payload["state_table_sizes"] = run_stats.get("table_sizes", [])
         payload["upper_bound"] = run_stats.get("upper_bound")
+        payload["origins"] = run_stats.get("origins")
     else:
         if args.eps is None:
             raise CliError("--eps is required with --method ptas")

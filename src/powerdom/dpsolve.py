@@ -36,6 +36,19 @@ size tried in full.  A sum over the sizes would grow with every size below
 ub, and ub follows the greedy's tie-breaks, so relabellings of one graph
 would take different paths at very different costs.
 
+Only some nodes are offered as origins.  An origin's one effect is to
+observe its closed neighborhood in round 1, and every later round depends
+only on what is observed so far, so spreading is monotone in the union of
+the origins' closed neighborhoods.  If N[u] is contained in N[v], swapping
+origin u for v therefore never loses a target, and u is dropped; of two
+equal closed neighborhoods the lower id is kept.  Containment puts u in N[v],
+so only u's neighbors need checking, and following drops from node to node
+ends at a kept node, since each step grows the neighborhood or lowers the
+id.  Any solution thus maps onto the kept nodes, the candidates, at no
+greater size, and the subset search, the label bounds and the insert
+transitions all range over candidates only.  On a pendant cycle every
+pendant leaf is dropped.
+
 Transitions generate only states that pass is_invalid_state.  They enforce
 the clauses by construction plus targeted rechecks of whatever each step can
 newly disturb, rather than re-running the full predicate per candidate; the
@@ -272,21 +285,41 @@ def _greedy_upper_bound(
     return chosen.bit_count(), frozenset(v for v in range(g.n) if chosen >> v & 1)
 
 
-def _label_bounds(g: Graph, ell: int) -> list[int]:
-    """Per node, the highest label a state needs to give it.
+def _origins(g: Graph) -> int:
+    """Mask of the candidate origins: the nodes whose closed neighborhood
+    no neighbor's closed neighborhood contains, the lowest id of equal ones
+    kept (see the module docstring)."""
+    closed = g.closed_masks()
+    keep = 0
+    for u, cu in enumerate(closed):
+        for v in g.adjacency[u]:
+            cv = closed[v]
+            if not cu & ~cv and (cu != cv or v < u):
+                break
+        else:
+            keep |= 1 << u
+    return keep
+
+
+def _label_bounds(g: Graph, ell: int, origins: int) -> list[int]:
+    """Per node, the highest label a state needs to give it when only the
+    candidates, the nodes of the mask origins, may be origins.
 
     Precondition: no lone origin observes every target within ell rounds;
     solve_dp calls this only at ub > 2, where the greedy has ruled that
-    out.  Solutions then hold two or more origins, and observation times
-    only drop as origins are added, so no node is ever claimed later than
-    under its second-slowest singleton run.  Bounds clamp at ell, so each
-    singleton run stops after ell rounds: a node it leaves unobserved is
-    bounded by ell either way.  On dense graphs this collapses the search.
+    out.  An optimal set within the candidates then exists and holds two or
+    more of them, and observation times only drop as origins are added, so
+    no node is ever claimed later than under its second-slowest singleton
+    run among candidates.  Bounds clamp at ell, so each singleton run stops
+    after ell rounds: a node it leaves unobserved is bounded by ell either
+    way.  On dense graphs this collapses the search.
     """
     first = [0.0] * g.n
     second = [0.0] * g.n
     closed = g.closed_masks()
     for u in range(g.n):
+        if not origins >> u & 1:
+            continue
         times = [INF] * g.n
         spread(closed, closed[u], ell, times)
         times[u] = 0
@@ -314,8 +347,8 @@ def solve_dp(
     against g.  ell is clamped to n-1, beyond which one more round can
     never help.  Returns (optimum, witness set); the witness is the greedy
     set when nothing smaller exists.  When a dict is passed as stats it
-    receives the greedy upper bound and per-bag table sizes, an empty list
-    when no tables were built.
+    receives the greedy upper bound, the number of candidate origins and
+    per-bag table sizes, an empty list when no tables were built.
     """
     targets = frozenset(targets)
     if not targets <= frozenset(range(g.n)):
@@ -331,30 +364,38 @@ def solve_dp(
             raise ValueError(f"decomposition does not fit the graph: {bad}")
 
     ub, greedy_set = _greedy_upper_bound(g, targets, ell)
+    # Only the search and the tables below read the candidates; at ub <= 2
+    # they are counted for stats alone.
+    origins = _origins(g) if ub > 2 or stats is not None else 0
+    cands = [v for v in range(g.n) if origins >> v & 1]
     if stats is not None:
         stats["upper_bound"] = ub
+        stats["origins"] = len(cands)
         stats["table_sizes"] = []
     opt, witness = ub, greedy_set
     # The greedy set is optimal at ub <= 2: a lone origin observing every
     # target would be the greedy's first pick.  Above that, when no size
-    # below ub has many sets (their count peaks at n // 2), the sets are
-    # tried outright, the largest first; otherwise the tables search only
-    # below ub, since a state's cost never falls towards the root.
-    if ub > 2 and comb(g.n, min(ub - 1, g.n // 2)) <= SUBSET_LIMIT:
+    # below ub has many sets of candidates (their count peaks at nc // 2),
+    # the sets are tried outright, the largest first, and none larger than
+    # nc, since all candidates observe every node in round 1.  Otherwise the
+    # tables search only below ub, since a state's cost never falls towards
+    # the root.
+    nc = len(cands)
+    if ub > 2 and comb(nc, min(ub - 1, nc // 2)) <= SUBSET_LIMIT:
         tmask = sum(1 << v for v in targets)
-        for size in range(ub - 1, 1, -1):
-            found = first_cover(g.closed_masks(), size, tmask, ell)
+        for size in range(min(ub - 1, nc), 1, -1):
+            found = first_cover(g.closed_masks(), size, tmask, ell, cands)
             if found is None:
                 break
             opt, witness = size, found
     elif ub > 2:
         if ntd is None:
             ntd = to_nice(heuristic_td(g))
-        eb = _label_bounds(g, ell)
+        eb = _label_bounds(g, ell, origins)
         # Each table is replaced by its back-references once built; the
         # states live on only until the parent's table is done.
         backs: list[list | None] = [None] * len(ntd.nodes)
-        for i, table, _ in _tables(g, ntd, targets, ub - 1, eb):
+        for i, table, _ in _tables(g, ntd, targets, ub - 1, eb, origins):
             backs[i] = [back for _, back in table.values()]
             if stats is not None:
                 stats["table_sizes"].append(len(table))
@@ -398,11 +439,13 @@ def _insert_may_dominate(ctx: BagContext, x: int) -> bool:
     return any(not ctx.open >> p & 1 for p in ctx.adj_pos[ctx.pos[x]])
 
 
-def _tables(g: Graph, ntd: NiceTreeDecomposition, targets: frozenset[int], bound: int, eb):
+def _tables(
+    g: Graph, ntd: NiceTreeDecomposition, targets: frozenset[int], bound: int, eb, origins: int
+):
     """Build every nice node's pruned table bottom-up, keeping states of
-    cost at most bound, and yield (node index, table, bag context) as each
-    is done, the root's last.  A child's table is released once its
-    parent's is built."""
+    cost at most bound whose origins are in the mask origins, and yield
+    (node index, table, bag context) as each is done, the root's last.  A
+    child's table is released once its parent's is built."""
     empty = BagContext(g, (), targets, 0)
     contexts: list[BagContext | None] = [None] * len(ntd.nodes)
     seen: list[int] = [0] * len(ntd.nodes)
@@ -422,10 +465,11 @@ def _tables(g: Graph, ntd: NiceTreeDecomposition, targets: frozenset[int], bound
             # inserted into it.
             table = {(0, 0, 0, 0): (0, (0, 0))}
             for x in nd.bag:
-                table = _insert_table(ctx, empty, table, x, bound, eb, plans)
+                table = _insert_table(ctx, empty, table, x, bound, eb, origins, plans)
         elif nd.kind == "insert":
             c = nd.children[0]
-            table = _insert_table(ctx, contexts[c], tables[c], nd.node, bound, eb, plans)
+            table = _insert_table(
+                ctx, contexts[c], tables[c], nd.node, bound, eb, origins, plans)
         elif nd.kind == "forget":
             c = nd.children[0]
             table = _forget_table(ctx, contexts[c], tables[c], nd.node)
@@ -447,9 +491,11 @@ def _insert_table(
     x: int,
     bound: int,
     eb,
+    origins: int,
     plans: dict,
 ) -> dict:
-    """Back-references are (child index, 1 when x is an origin).
+    """Back-references are (child index, 1 when x is an origin).  x may be
+    an origin only when it is in the mask origins.
 
     A child state's outputs depend on it only through a short signature:
     the labels and hats of x's bag neighbors, the tightest cap on x's label,
@@ -504,7 +550,8 @@ def _insert_table(
     # Neighbors for which x is the last unseen neighbor: their hats must be
     # resolved by x itself, and if one justifies x, x's label is exact.
     dying = nmask & ~ctx.open
-    none_opts: list[tuple[int, int]] = [(0, 0)]
+    x_origin = bool(origins >> x & 1)
+    none_opts: list[tuple[int, int]] = [(0, 0)] if x_origin else []
     if x not in ctx.targets:
         none_opts.append((UNOBSERVED, 0))
     if x_has_future:
@@ -513,7 +560,7 @@ def _insert_table(
     # The table constants of a plan key.  Everything else the outputs read
     # follows from these; x's edge codes from the positions, since bag
     # positions follow node ids.
-    consts = (nmask, x_at, x_hi, x in ctx.targets, x_has_future, dying)
+    consts = (nmask, x_at, x_hi, x in ctx.targets, x_has_future, dying, x_origin)
 
     def outputs(hats, eff_cap, origin_fits, nlab, seen):
         out = []

@@ -123,14 +123,14 @@ class MinRepInstance:
         return b // self.m_b
 
     def super_edges(self) -> tuple[tuple[int, int], ...]:
-        return tuple(sorted({(self.group_of_a(a), self.group_of_b(b)) for a, b in self.edges}))
+        return tuple(self.edges_by_super())
 
-    def edges_of_super(self, i: int, j: int) -> tuple[tuple[int, int], ...]:
-        return tuple(
-            (a, b)
-            for a, b in self.edges
-            if self.group_of_a(a) == i and self.group_of_b(b) == j
-        )
+    def edges_by_super(self) -> dict[tuple[int, int], list[tuple[int, int]]]:
+        """Each super-edge, in sorted order, with its edges in input order."""
+        groups: dict[tuple[int, int], list[tuple[int, int]]] = {}
+        for a, b in self.edges:
+            groups.setdefault((self.group_of_a(a), self.group_of_b(b)), []).append((a, b))
+        return {key: groups[key] for key in sorted(groups)}
 
 
 def minrep_cover_check(inst: MinRepInstance, pick: Iterable[int]) -> bool:
@@ -139,13 +139,10 @@ def minrep_cover_check(inst: MinRepInstance, pick: Iterable[int]) -> bool:
     for v in chosen:
         if not (0 <= v < inst.n_elements):
             raise ValueError(f"pick {v} is not an element id")
-    for i, j in inst.super_edges():
-        if not any(
-            inst.a_id(a) in chosen and inst.b_id(b) in chosen
-            for a, b in inst.edges_of_super(i, j)
-        ):
-            return False
-    return True
+    return all(
+        any(inst.a_id(a) in chosen and inst.b_id(b) in chosen for a, b in edges)
+        for edges in inst.edges_by_super().values()
+    )
 
 
 def minrep_cover_bf(inst: MinRepInstance) -> tuple[int, frozenset[int]]:
@@ -250,7 +247,7 @@ def minrep_to_pds(inst: MinRepInstance) -> tuple[Graph, ReductionInfo]:
     center exactly when both u and v are observed in round 1.  The minimum
     source set is exactly one larger than the minimum cover.
     """
-    supers = inst.super_edges()
+    supers = inst.edges_by_super()
     # Per copy of a super-edge: its center, and u, v, d and two 3-node arms
     # per edge.
     n = _bounded(4 + inst.n_elements + LAMBDA_COPIES * (len(supers) + 9 * len(inst.edges)))
@@ -266,11 +263,11 @@ def minrep_to_pds(inst: MinRepInstance) -> tuple[Graph, ReductionInfo]:
     pendants = tuple(fresh(f"w*{i}") for i in (1, 2, 3))
     edges += [(w_star, p) for p in pendants]
 
-    for s, (i, j) in enumerate(supers):
+    for s, pairs in enumerate(supers.values()):
         for t in range(LAMBDA_COPIES):
             prefix = f"se{s}.c{t}"
             center = fresh(f"{prefix}.center")
-            for q, (a, b) in enumerate(inst.edges_of_super(i, j)):
+            for q, (a, b) in enumerate(pairs):
                 u = fresh(f"{prefix}.e{q}.u")
                 v = fresh(f"{prefix}.e{q}.v")
                 d = fresh(f"{prefix}.e{q}.d")

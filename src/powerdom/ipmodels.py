@@ -312,11 +312,17 @@ def emit_lp(model: IpModel, relax: bool = False) -> str:
     return "\n".join(lines) + "\n"
 
 
+# Largest decimal exponent magnitude a solution value may carry; Fraction
+# expands the power of ten in full, so 1e300000000 would run for minutes.
+MAX_EXPONENT = 1000
+
+
 def parse_solution(text: str) -> dict[str, Fraction]:
     """Read `<variable> <value>` lines into exact rationals.
 
-    Values may be decimals or p/q rationals.  Blank lines and lines starting
-    with # are skipped; duplicates and malformed lines are rejected.
+    Values may be decimals, with an exponent of at most MAX_EXPONENT in
+    magnitude, or p/q rationals.  Blank lines and lines starting with # are
+    skipped; duplicates and malformed lines are rejected.
     """
     out: dict[str, Fraction] = {}
     for ln, raw in enumerate(text.splitlines(), start=1):
@@ -329,7 +335,10 @@ def parse_solution(text: str) -> dict[str, Fraction]:
         name, value = parts
         if name in out:
             raise ValueError(f"solution line {ln}: duplicate variable {name}")
+        _, e, exponent = value.upper().partition("E")
         try:
+            if e and abs(int(exponent)) > MAX_EXPONENT:
+                raise ValueError(f"exponent beyond {MAX_EXPONENT}")
             out[name] = Fraction(value)
         except (ValueError, ZeroDivisionError) as exc:
             raise ValueError(f"solution line {ln}: bad value {value!r}") from exc

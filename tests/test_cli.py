@@ -51,6 +51,8 @@ def test_solve_json(spider_file, capsys):
     assert payload["witness"] == sorted(payload["witness"])
     assert len(payload["witness"]) == 3
     assert payload["upper_bound"] >= 3
+    # The spider's three leg ends are never candidate origins.
+    assert payload["origins"] == 7
     assert all(isinstance(s, int) for s in payload["state_table_sizes"])
     assert payload["elapsed_s"] >= 0
 
@@ -150,6 +152,26 @@ def test_check_ip(tmp_path, capsys):
                        "--solution", str(bad))
     assert code == 1
     assert "(1)[v=2]" in out.splitlines()
+
+
+def test_check_ip_refuses_huge_exponents(tmp_path, capsys):
+    # Exact arithmetic would expand 10**300000000 in full before checking a
+    # single constraint; the value is refused as it is read.
+    graph = tmp_path / "k2.gr"
+    graph.write_text(K2)
+    huge = tmp_path / "huge.sol"
+    huge.write_text("x_v2 0\nx_v1 1e300000000\n")
+    code, out, err = run(capsys, "check-ip", "ell", str(graph), "--ell", "1",
+                         "--solution", str(huge))
+    assert code == 2 and out == ""
+    assert "line 2" in err and "1e300000000" in err
+    # Exponents within the bound still read as exact values.
+    fine = tmp_path / "fine.sol"
+    fine.write_text(K2_SOL_OK.replace("x_v1 1\n", "x_v1 1000e-3\n")
+                    .replace("x_v2 0\n", "x_v2 0E+1_000\n"))
+    code, out, _ = run(capsys, "check-ip", "ell", str(graph), "--ell", "1",
+                       "--solution", str(fine))
+    assert code == 0 and out == "ok\nobjective 1\n"
 
 
 def test_td_output_is_valid(spider_file, capsys):

@@ -28,6 +28,7 @@ from powerdom.dpsolve import (
     _insert_may_dominate,
     _join_table,
     _label_bounds,
+    _origins,
     _prune_dominated,
     _tables,
     is_invalid_state,
@@ -289,10 +290,12 @@ def test_tables_never_hold_invalid_states(monkeypatch):
             targets = frozenset(range(n))
             ntd = to_nice(heuristic_td(g))
             ub, _ = _greedy_upper_bound(g, targets, ell)
-            for _, table, ctx in _tables(g, ntd, targets, ub, [ell] * n):
-                for state in table:
-                    assert not is_invalid_state(ctx, state)
-                audited += len(table)
+            # Every node as a possible origin, and the solver's candidates.
+            for origins in ((1 << n) - 1, _origins(g)):
+                for _, table, ctx in _tables(g, ntd, targets, ub, [ell] * n, origins):
+                    for state in table:
+                        assert not is_invalid_state(ctx, state)
+                    audited += len(table)
         assert audited > 1000
 
 
@@ -301,14 +304,16 @@ def test_join_refuses_two_justifying_edges():
     # child, b below the right one.  A pairing in which both sides justify x
     # from below would give x two in-edges.  No optimum depends on this
     # clause (a pairing in which one side leaves x hatted reaches the same
-    # state at no greater cost), so it is checked on the join itself.
+    # state at no greater cost), so it is checked on the join itself, with
+    # a and b allowed as origins although x's closed neighborhood holds
+    # theirs.
     g = path_graph(3)
     td = TreeDecomposition(
         (frozenset({1}), frozenset({0, 1}), frozenset({1, 2})), ((0, 1), (0, 2))
     )
     ntd = to_nice(td)
     ub = 3
-    built = {i: (t, ctx) for i, t, ctx in _tables(g, ntd, frozenset(range(3)), ub, [2] * 3)}
+    built = {i: (t, ctx) for i, t, ctx in _tables(g, ntd, frozenset(range(3)), ub, [2] * 3, 0b111)}
     j = ntd.root
     assert ntd.nodes[j].kind == "join" and ntd.nodes[j].bag == {1}
     left, right = (built[c][0] for c in ntd.nodes[j].children)
@@ -330,7 +335,11 @@ def test_join_refuses_two_justifying_edges():
 # Optimum and per-nice-node table sizes (post order, after pruning) on the
 # default decomposition: first at the greedy bound ub, then as solve_dp
 # builds them with the subset search off, at ub - 1 and none when ub <= 2.
-# A change of state layout must leave them as they are.
+# A change of state layout must leave them as they are.  The spiders and the
+# pendant cycle hold nodes whose closed neighborhood another node's contains
+# (leg ends, pendant leaves); since those are never offered as origins,
+# their tables are smaller than when every node was, while the grids and
+# the prism, which have no such node, kept theirs.
 TABLE_SIZES = [
     (grid_graph(3, 3), 1, 3, [
         2, 6, 13, 13, 46, 114, 2, 6, 13, 13, 46, 114, 157, 108, 144, 2, 6, 13, 13, 25,
@@ -341,17 +350,17 @@ TABLE_SIZES = [
         3, 14, 57, 227, 3, 9, 35, 35, 95, 599, 3, 14, 35, 35, 179, 594, 796, 590, 903,
         886, 559, 909, 650, 766, 625, 546, 3, 14, 35, 35, 95, 604, 176, 108, 49, 5], []),
     (pendant_cycle(6), 3, 2, [
-        4, 11, 11, 57, 4, 11, 11, 57, 114, 278, 4, 11, 11, 57, 305, 315, 205, 259, 4,
-        11, 11, 57, 214, 295, 145, 159, 4, 11, 11, 57, 214, 158, 69, 35, 27, 8, 2], []),
+        4, 4, 4, 17, 4, 4, 4, 17, 18, 47, 4, 4, 4, 17, 96, 49, 43, 96, 4, 4, 4, 17, 67,
+        105, 36, 69, 4, 4, 4, 17, 67, 76, 35, 31, 23, 7, 2], []),
     (prism_graph(5), 2, 2, [
         3, 14, 57, 141, 141, 518, 1416, 1091, 2521, 3, 14, 57, 141, 141, 519, 1275, 3,
         9, 57, 141, 141, 363, 1425, 4163, 2009, 1080, 601, 36], []),
     (spider(3, 3), 2, 3, [
-        3, 7, 7, 16, 11, 18, 3, 7, 7, 19, 12, 18, 11, 48, 59, 14, 14, 11, 20, 12, 12], [
-        3, 7, 7, 16, 11, 18, 3, 7, 7, 19, 12, 18, 11, 48, 56, 14, 13, 10, 13, 10, 5]),
+        2, 3, 3, 5, 5, 15, 3, 2, 2, 5, 5, 15, 10, 41, 44, 12, 14, 11, 20, 12, 4], [
+        2, 3, 3, 5, 5, 15, 3, 2, 2, 5, 5, 15, 10, 41, 41, 12, 13, 10, 13, 10, 3]),
     (spider(4, 2), 1, 4, [
-        2, 4, 4, 9, 2, 4, 4, 9, 5, 14, 2, 4, 4, 9, 5, 14, 16, 24, 6, 6, 5, 6], [
-        2, 4, 4, 9, 2, 4, 4, 9, 5, 14, 2, 4, 4, 9, 5, 14, 16, 22, 6, 5, 4, 2]),
+        1, 1, 1, 3, 2, 1, 1, 3, 3, 8, 2, 1, 1, 3, 3, 8, 8, 4, 3, 6, 5, 2], [
+        1, 1, 1, 3, 2, 1, 1, 3, 3, 8, 2, 1, 1, 3, 3, 8, 8, 4, 3, 5, 4, 1]),
 ]
 
 
@@ -373,7 +382,8 @@ def test_table_sizes_are_locked(monkeypatch):
 
 def _root_optimum(g, targets, ell, ntd, bound):
     """Cheapest hat-free root state in tables built at bound, or None."""
-    *_, (_, root, _) = _tables(g, ntd, targets, bound, _label_bounds(g, ell))
+    origins = _origins(g)
+    *_, (_, root, _) = _tables(g, ntd, targets, bound, _label_bounds(g, ell, origins), origins)
     return min((cost for state, (cost, _) in root.items() if not state[-4]), default=None)
 
 
@@ -475,11 +485,112 @@ def test_matches_milp_beyond_bruteforce(case):
     assert opt == _milp_optimum(g, ell)
 
 
+def _reference_origins(g):
+    """Nodes whose closed neighborhood no other node's strictly contains,
+    nor equals with a lower id; every pair compared, as frozensets."""
+    closed = [frozenset(g.adjacency[v]) | {v} for v in range(g.n)]
+    return frozenset(
+        u for u in range(g.n)
+        if not any(closed[u] < closed[v] or closed[u] == closed[v] and v < u
+                   for v in range(g.n) if v != u)
+    )
+
+
+def _with_pendants(rng, g, count):
+    """g with count fresh leaves hung on random nodes."""
+    return Graph(g.n + count, [*g.edges, *((rng.randrange(g.n), g.n + i) for i in range(count))])
+
+
+def _with_true_twins(rng, g, count):
+    """g with count fresh nodes, each a true twin of a random node: adjacent
+    to it and to all its neighbors."""
+    for _ in range(count):
+        u = rng.randrange(g.n)
+        g = Graph(g.n + 1, [*g.edges, (u, g.n), *((w, g.n) for w in g.adjacency[u])])
+    return g
+
+
+def _origin_cases():
+    rng = random.Random(3141)
+    for _ in range(150):
+        n = rng.randint(1, 12)
+        g = random_graph(rng, n, rng.uniform(0.05, 0.8))
+        yield g
+        yield _with_pendants(rng, g, rng.randint(1, 4))
+        yield _with_true_twins(rng, g, rng.randint(1, 3))
+    for n in range(1, 7):
+        yield star_graph(n)
+        yield complete_graph(n)
+    for m in range(3, 7):
+        yield relabelled(pendant_cycle(m), rng)
+
+
+def test_origins_match_reference():
+    dropped_any = 0
+    for g in _origin_cases():
+        mask = _origins(g)
+        kept = frozenset(v for v in range(g.n) if mask >> v & 1)
+        assert kept == _reference_origins(g) and mask >> g.n == 0, g.edges
+        closed = [frozenset(g.adjacency[v]) | {v} for v in range(g.n)]
+        for u in range(g.n):
+            # Every dropped node has a kept node covering its neighborhood,
+            # and no kept node's neighborhood holds another kept node's.
+            covers = [v for v in kept if v != u and closed[u] <= closed[v]]
+            assert bool(covers) != (u in kept), (g.edges, u)
+        dropped_any += len(kept) < g.n
+    assert dropped_any > 300
+    # The three shapes by name: a star keeps its center, a complete graph
+    # its lowest id, and a pendant cycle its cycle nodes.
+    assert _origins(star_graph(6)) == 0b1
+    assert _origins(complete_graph(5)) == 0b1
+    assert _origins(pendant_cycle(5)) == 0b11111
+
+
+def _dropped_node_cases():
+    """Graphs with many nodes that are never candidate origins, each with
+    seeded random targets at every ell: random graphs with pendants, with
+    true twins, pendant cycles of up to 12 nodes and spiders, on which the
+    greedy is sometimes above the optimum."""
+    rng = random.Random(1414)
+    graphs = []
+    for _ in range(40):
+        g = random_graph(rng, rng.randint(3, 8), rng.uniform(0.15, 0.5))
+        graphs.append(_with_pendants(rng, g, rng.randint(2, 4)))
+        graphs.append(_with_true_twins(rng, g, rng.randint(1, 3)))
+    graphs += [relabelled(pendant_cycle(m), rng) for m in range(3, 7)]
+    graphs += [relabelled(spider(legs, length), rng) for legs in (2, 3, 4) for length in (2, 3)]
+    for g in graphs:
+        for ell in range(1, g.n):
+            targets = frozenset(v for v in range(g.n) if rng.random() < 0.7) or frozenset({0})
+            yield g, targets, ell
+
+
+@pytest.mark.parametrize("tables", [False, True])
+def test_matches_bruteforce_with_dropped_origins(tables, request):
+    if tables:
+        request.getfixturevalue("dp_tables")
+    cases = below = 0
+    for g, targets, ell in _dropped_node_cases():
+        stats: dict = {}
+        opt, witness = solve_dp(g, targets, ell, stats=stats)
+        case = (g.edges, sorted(targets), ell)
+        assert opt == solve_bf(g, targets, ell)[0], case
+        assert len(witness) == opt and is_feasible(g, witness, targets, ell), case
+        assert stats["origins"] == len(_reference_origins(g)) < g.n, case
+        if stats["upper_bound"] > 2:
+            # A witness from the search or the tables holds only candidates.
+            assert witness <= _reference_origins(g) or opt == stats["upper_bound"], case
+            assert bool(stats["table_sizes"]) == tables, case
+            below += opt < stats["upper_bound"]
+        cases += 1
+    assert cases > 600 and below >= 3, (cases, below)
+
+
 def _reference_label_bounds(g, ell):
-    """min(ell, the second-slowest singleton time) per node, 0 on a lone
-    node; every singleton run taken to its fixed point by the naive
-    oracle."""
-    runs = [naive_times(g, {u}, g.n) for u in range(g.n)]
+    """min(ell, the second-slowest singleton time among candidate origins)
+    per node, 0 with fewer than two candidates; every singleton run taken to
+    its fixed point by the naive oracle."""
+    runs = [naive_times(g, {u}, g.n) for u in sorted(_reference_origins(g))]
     bounds = []
     for v in range(g.n):
         slow = sorted((t[v] for t in runs), reverse=True) + [0]
@@ -496,7 +607,7 @@ def test_label_bounds_match_fixed_point_reference(seed, n):
     else:
         g = random_graph(rnd, n, rnd.uniform(0.1, 0.6))
     for ell in range(1, max(2, n)):
-        assert _label_bounds(g, ell) == _reference_label_bounds(g, ell)
+        assert _label_bounds(g, ell, _origins(g)) == _reference_label_bounds(g, ell)
 
 
 def _table_cases():
@@ -527,7 +638,8 @@ def _solver_tables(g, targets, ell, ntd):
     builds them but at the greedy bound ub itself, one above solve_dp's, so
     that states of cost ub are covered too."""
     ub, _ = _greedy_upper_bound(g, targets, ell)
-    return list(_tables(g, ntd, targets, ub, _label_bounds(g, ell)))
+    origins = _origins(g)
+    return list(_tables(g, ntd, targets, ub, _label_bounds(g, ell, origins), origins))
 
 
 class _PlanStoreThatForgets(dict):
@@ -576,10 +688,12 @@ def test_bag_context_and_leaf_tables_match_references():
     # A bag node is open when it has a neighbor outside the nodes of the
     # bags in its nice node's subtree.  A leaf's table, built as an insert
     # into the empty bag, must hold what the leaf rule gives: the origin at
-    # cost 1, UNOBSERVED off the targets, and hats 1..eb[v] while v is open.
+    # cost 1 on a candidate origin, UNOBSERVED off the targets, and hats
+    # 1..eb[v] while v is open.
     leaves = 0
     for g, targets, ell, ntd in _table_cases():
-        eb = _label_bounds(g, ell)
+        origins = _reference_origins(g)
+        eb = _reference_label_bounds(g, ell)
         for i, table, ctx in _solver_tables(g, targets, ell, ntd):
             nd = ntd.nodes[i]
             below: set[int] = set()
@@ -595,7 +709,7 @@ def test_bag_context_and_leaf_tables_match_references():
                 continue
             want = {(0, 0, 0, 0): (0, (0, 0))}
             for v in nd.bag:
-                options = [(0, 0)]
+                options = [(0, 0)] if v in origins else []
                 if v not in targets:
                     options.append((UNOBSERVED, 0))
                 if v in want_open:

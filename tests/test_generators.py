@@ -1,3 +1,4 @@
+import hashlib
 import random
 
 import pytest
@@ -15,7 +16,7 @@ from powerdom.generators import (
     pendant_cycle,
     spider,
 )
-from powerdom.graphs import Graph, GraphFormatError
+from powerdom.graphs import Graph, GraphFormatError, emit_graph
 from powerdom.propagation import INF, propagate
 
 
@@ -102,6 +103,26 @@ def test_minrep_reduction_size_bound():
     assert info.roles[info.w_star] == "w*"
     centers = [r for r in info.roles if r.endswith(".center")]
     assert len(centers) == info.copies * len(inst.super_edges())
+
+
+def test_minrep_reduction_groups_edges_as_the_per_super_edge_filter():
+    # A seeded random instance, its edges in shuffled order: each super-edge
+    # keeps its edges in input order, as filtering the whole edge list per
+    # super-edge gave, and `gen minrep` output is locked to the digest that
+    # filtering version produced.
+    rng = random.Random(97)
+    pairs = [(a, b) for a in range(12) for b in range(12)]
+    rng.shuffle(pairs)
+    inst = MinRepInstance(3, 4, 4, 3, tuple(pairs[:40]))
+    groups = inst.edges_by_super()
+    assert tuple(groups) == inst.super_edges()
+    for (i, j), edges in groups.items():
+        assert edges == [(a, b) for a, b in inst.edges
+                         if inst.group_of_a(a) == i and inst.group_of_b(b) == j]
+    g, info = minrep_to_pds(inst)
+    text = emit_graph(g, comments=[f"role {v + 1} {r}" for v, r in enumerate(info.roles)])
+    assert hashlib.sha256(text.encode()).hexdigest() == (
+        "60c87454b231e026faf6b4eb490710131d8566f6ce7a60e7c41147632e3244b1")
 
 
 def test_minrep_reduction_optimum_is_cover_plus_one():
