@@ -5,7 +5,7 @@ from __future__ import annotations
 import itertools
 from typing import Iterable
 
-from powerdom.graphs import Graph
+from powerdom.graphs import Graph, ball
 from powerdom.propagation import spread
 
 # Largest graph either exhaustive search takes on without force=True.
@@ -24,11 +24,46 @@ def first_cover(
 ) -> frozenset[int] | None:
     """First set of size nodes from nodes (default: every node), in
     lexicographic order, observing every node of tmask within ell rounds,
-    or None when no such set exists."""
-    pool = range(len(closed)) if nodes is None else nodes
-    for combo in itertools.combinations(pool, size):
-        if _covers(closed, combo, tmask, ell):
-            return frozenset(combo)
+    or None when no such set exists.
+
+    Round 1 observes the origins' closed neighborhoods, and each later
+    round observes only neighbors of nodes already observed, so a target
+    observed within ell rounds lies within distance ell of an origin.  Each
+    pool node's ball, the targets within distance ell of it, is computed
+    once, and the sets are walked depth first in lexicographic order.  A
+    prefix whose balls, together with those of every later pool node, miss
+    a target is cut with the rest of its loop, since later nodes only have
+    fewer balls left to add.  Only a full set whose balls cover tmask is
+    spread.  The cut drops only sets that cannot work, so the set returned
+    is the one a plain walk over every set would return.
+    """
+    pool = tuple(range(len(closed)) if nodes is None else nodes)
+    m = len(pool)
+    balls = [ball(closed, 1 << v, ell) & tmask for v in pool]
+    # reach[i]: the targets in the balls of pool[i:].
+    reach = [0] * (m + 1)
+    for i in range(m - 1, -1, -1):
+        reach[i] = reach[i + 1] | balls[i]
+    # Position d of the current set is pool[chosen[d]]; first[d] and hit[d]
+    # are the closed neighborhoods and the balls of its first d nodes.
+    chosen = [0] * size
+    first = [0] * (size + 1)
+    hit = [0] * (size + 1)
+    d = i = 0
+    while d >= 0:
+        if d == size:
+            if hit[d] == tmask and spread(closed, first[d], ell, stop=tmask) & tmask == tmask:
+                return frozenset(pool[j] for j in chosen)
+        elif i <= m - size + d and hit[d] | reach[i] == tmask:
+            chosen[d] = i
+            first[d + 1] = first[d] | closed[pool[i]]
+            hit[d + 1] = hit[d] | balls[i]
+            d += 1
+            i += 1
+            continue
+        d -= 1
+        if d >= 0:
+            i = chosen[d] + 1
     return None
 
 

@@ -31,10 +31,16 @@ lexicographically first set of each size that observes every target.
 Spreading is monotone in the origin set, so once no set of some size works,
 none of a smaller size does, and the last size that worked is optimal.  The
 limit bounds the largest size rather than all of them together: a size above
-the optimum ends at an early set that works, so the search costs about one
-size tried in full.  A sum over the sizes would grow with every size below
-ub, and ub follows the greedy's tie-breaks, so relabellings of one graph
-would take different paths at very different costs.
+the optimum ends at an early set that works.  A sum over the sizes would grow
+with every size below ub, and ub follows the greedy's tie-breaks, so
+relabellings of one graph would take different paths at very different
+costs.  The size below the optimum has no set that works, and the search
+cuts it by distance (see bruteforce.first_cover): a target observed within
+ell rounds lies within distance ell of an origin, so a set is spread only
+when the targets within distance ell of its nodes are all of them, and a
+branch of the walk is cut as soon as its nodes and every later node in the
+order together leave a target out of reach.  The cut drops only sets that
+cannot work, so each size keeps the same first set.
 
 Only some nodes are offered as origins.  An origin's one effect is to
 observe its closed neighborhood in round 1, and every later round depends
@@ -61,7 +67,7 @@ from math import comb, inf as INF
 from operator import itemgetter, le
 
 from powerdom.bruteforce import first_cover
-from powerdom.graphs import Graph
+from powerdom.graphs import Graph, ball
 from powerdom.propagation import is_feasible, spread
 from powerdom.treedecomp import NiceTreeDecomposition, heuristic_td, to_nice, validate_td
 
@@ -301,35 +307,60 @@ def _origins(g: Graph) -> int:
     return keep
 
 
-def _label_bounds(g: Graph, ell: int, origins: int) -> list[int]:
+def _label_bounds(g: Graph, ell: int, origins: int, targets: frozenset[int]) -> list[int]:
     """Per node, the highest label a state needs to give it when only the
     candidates, the nodes of the mask origins, may be origins.
 
-    Precondition: no lone origin observes every target within ell rounds;
-    solve_dp calls this only at ub > 2, where the greedy has ruled that
-    out.  An optimal set within the candidates then exists and holds two or
-    more of them, and observation times only drop as origins are added, so
-    no node is ever claimed later than under its second-slowest singleton
-    run among candidates.  Bounds clamp at ell, so each singleton run stops
-    after ell rounds: a node it leaves unobserved is bounded by ell either
-    way.  On dense graphs this collapses the search.
+    Spreading never leaves a component, so an optimal set within the
+    candidates solves each component apart.  A component without targets
+    needs no origin and no label above 0.  Where some lone candidate of a
+    component observes all of the component's targets within ell rounds,
+    one such candidate is the optimal set's only origin there, and labels
+    follow its run: the bound is the slowest time any of them observes a
+    node at, since a node one of them leaves unobserved is no target and
+    may stay UNOBSERVED.  Elsewhere the optimal set holds two or more of
+    the component's candidates, and observation times only drop as origins
+    are added, so no node is ever claimed later than under its
+    second-slowest singleton run among them.  Bounds clamp at ell, so each
+    singleton run stops after ell rounds: a node it leaves unobserved is
+    bounded by ell either way.  On a connected graph at ub > 2 only this
+    last case occurs.  On dense graphs this collapses the search.
     """
+    closed = g.closed_masks()
+    tmask = 0
+    for v in targets:
+        tmask |= 1 << v
+    comps: list[tuple[int, list[int]] | None] = [None] * g.n
+    for s in range(g.n):
+        if comps[s] is None:
+            mask = ball(closed, 1 << s, g.n)
+            comp = (mask, [v for v in range(s, g.n) if mask >> v & 1])
+            for v in comp[1]:
+                comps[v] = comp
     first = [0.0] * g.n
     second = [0.0] * g.n
-    closed = g.closed_masks()
+    lone = [0] * g.n  # slowest observed time under a lone candidate that suffices
+    alone = 0  # the components where a lone candidate observes every target
     for u in range(g.n):
-        if not origins >> u & 1:
+        mask, nodes = comps[u]
+        if not origins >> u & 1 or not tmask & mask:
             continue
         times = [INF] * g.n
-        spread(closed, closed[u], ell, times)
+        observed = spread(closed, closed[u], ell, times)
         times[u] = 0
-        for v, t in enumerate(times):
+        if not tmask & mask & ~observed:
+            alone |= mask
+            for v in nodes:
+                if lone[v] < times[v] < INF:
+                    lone[v] = times[v]
+        for v in nodes:
+            t = times[v]
             if t > first[v]:
                 second[v] = first[v]
                 first[v] = t
             elif t > second[v]:
                 second[v] = t
-    return [int(min(b, ell)) for b in second]
+    return [lone[v] if alone >> v & 1 else int(min(second[v], ell)) for v in range(g.n)]
 
 
 def solve_dp(
@@ -391,7 +422,7 @@ def solve_dp(
     elif ub > 2:
         if ntd is None:
             ntd = to_nice(heuristic_td(g))
-        eb = _label_bounds(g, ell, origins)
+        eb = _label_bounds(g, ell, origins, targets)
         # Each table is replaced by its back-references once built; the
         # states live on only until the parent's table is done.
         backs: list[list | None] = [None] * len(ntd.nodes)

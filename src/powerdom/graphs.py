@@ -93,6 +93,24 @@ class Graph:
         return f"Graph(n={self.n}, m={self.m})"
 
 
+def ball(closed: tuple[int, ...], mask: int, radius: int) -> int:
+    """Mask of the nodes within distance radius of a node of mask, where
+    closed[v] is v's closed neighborhood; stops early at the fixed point,
+    so a radius of n or more gives the components that mask meets."""
+    reached = front = mask
+    for _ in range(radius):
+        step = 0
+        while front:
+            low = front & -front
+            front ^= low
+            step |= closed[low.bit_length() - 1]
+        front = step & ~reached
+        if not front:
+            break
+        reached |= front
+    return reached
+
+
 def induced_subgraph(g: Graph, keep: Iterable[int]) -> tuple[Graph, dict[int, int]]:
     """Subgraph induced on `keep`, with an order-preserving old->new id map."""
     kept = sorted(set(keep))

@@ -1,10 +1,14 @@
+import itertools
 import random
+from math import comb
 
 import pytest
 
-from conftest import cycle_graph, path_graph, random_graph, star_graph
-from powerdom.bruteforce import solve_bf, solve_domset_bf
-from powerdom.generators import spider
+from conftest import cycle_graph, naive_times, path_graph, random_graph, star_graph
+from powerdom import bruteforce
+from powerdom.bruteforce import first_cover, solve_bf, solve_domset_bf
+from powerdom.dpsolve import _origins
+from powerdom.generators import pendant_cycle, spider
 from powerdom.propagation import is_feasible
 
 
@@ -65,3 +69,64 @@ def test_domset_agrees_with_one_round_solver():
     for _ in range(40):
         g = random_graph(rng, rng.randint(1, 8), rng.uniform(0.2, 0.7))
         assert solve_domset_bf(g)[0] == solve_bf(g, range(g.n), 1)[0]
+
+
+def _reference_first_cover(g, size, targets, ell, pool):
+    """First set of size nodes of pool, as itertools orders them, whose
+    naive run observes every target within ell rounds."""
+    for combo in itertools.combinations(pool, size):
+        times = naive_times(g, combo, ell)
+        if all(times[v] <= ell for v in targets):
+            return frozenset(combo)
+    return None
+
+
+def test_first_cover_matches_plain_combinations():
+    # The distance cut may drop only sets that cannot work, so the set
+    # found must be the one a plain walk over every set finds, whatever
+    # the pool and its order.
+    rng = random.Random(2718)
+    found = missed = 0
+    for _ in range(200):
+        n = rng.randint(1, 9)
+        g = random_graph(rng, n, rng.uniform(0.1, 0.6))  # often disconnected
+        targets = frozenset(v for v in range(n) if rng.random() < rng.choice((0.3, 0.7, 1)))
+        tmask = sum(1 << v for v in targets)
+        closed = g.closed_masks()
+        everyone = list(range(n))
+        shuffled = rng.sample(everyone, n)
+        restricted = rng.sample(everyone, rng.randint(0, n))
+        for ell in range(1, max(2, n)):
+            for pool in (everyone, shuffled, restricted):
+                for size in range(len(pool) + 2):
+                    want = _reference_first_cover(g, size, targets, ell, pool)
+                    case = (g.edges, sorted(targets), ell, pool, size)
+                    assert first_cover(closed, size, tmask, ell, pool) == want, case
+                    if pool is everyone:
+                        assert first_cover(closed, size, tmask, ell) == want, case
+                    found += want is not None
+                    missed += want is None
+    assert found > 5000 and missed > 5000, (found, missed)
+
+
+def test_distance_cut_spares_the_spreads(monkeypatch):
+    # No five 2-balls on the 18-cycle cover every pendant, so the search at
+    # size 5 must turn down nearly all 8,568 sets of candidates unspread.
+    g = pendant_cycle(18)
+    origins = _origins(g)
+    cands = [v for v in range(g.n) if origins >> v & 1]
+    assert comb(len(cands), 5) == 8568
+    spreads = 0
+    spread = bruteforce.spread
+
+    def counted(*args, **kwargs):
+        nonlocal spreads
+        spreads += 1
+        return spread(*args, **kwargs)
+
+    monkeypatch.setattr(bruteforce, "spread", counted)
+    assert first_cover(g.closed_masks(), 5, (1 << g.n) - 1, 2, cands) is None
+    assert spreads < 8568 / 100, spreads
+    # The count sees the spreads that do happen.
+    assert first_cover(g.closed_masks(), 6, (1 << g.n) - 1, 2, cands) is not None
+    assert spreads >= 1

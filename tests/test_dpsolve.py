@@ -383,7 +383,8 @@ def test_table_sizes_are_locked(monkeypatch):
 def _root_optimum(g, targets, ell, ntd, bound):
     """Cheapest hat-free root state in tables built at bound, or None."""
     origins = _origins(g)
-    *_, (_, root, _) = _tables(g, ntd, targets, bound, _label_bounds(g, ell, origins), origins)
+    eb = _label_bounds(g, ell, origins, targets)
+    *_, (_, root, _) = _tables(g, ntd, targets, bound, eb, origins)
     return min((cost for state, (cost, _) in root.items() if not state[-4]), default=None)
 
 
@@ -586,15 +587,37 @@ def test_matches_bruteforce_with_dropped_origins(tables, request):
     assert cases > 600 and below >= 3, (cases, below)
 
 
-def _reference_label_bounds(g, ell):
-    """min(ell, the second-slowest singleton time among candidate origins)
-    per node, 0 with fewer than two candidates; every singleton run taken to
-    its fixed point by the naive oracle."""
-    runs = [naive_times(g, {u}, g.n) for u in sorted(_reference_origins(g))]
+def _reference_component(g, v):
+    seen, stack = {v}, [v]
+    while stack:
+        for w in g.adjacency[stack.pop()]:
+            if w not in seen:
+                seen.add(w)
+                stack.append(w)
+    return seen
+
+
+def _reference_label_bounds(g, ell, targets):
+    """Per node, from the singleton runs of the candidate origins in its
+    component, each taken to its fixed point by the naive oracle: 0 when
+    the component has no target; where some lone candidate observes all of
+    the component's targets within ell rounds, the slowest time within ell
+    of any such candidate; otherwise min(ell, the second-slowest time), 0
+    with fewer than two candidates."""
+    runs = {u: naive_times(g, {u}, g.n) for u in _reference_origins(g)}
     bounds = []
     for v in range(g.n):
-        slow = sorted((t[v] for t in runs), reverse=True) + [0]
-        bounds.append(int(min(slow[1], ell)))
+        comp = _reference_component(g, v)
+        local = [t for u, t in sorted(runs.items()) if u in comp]
+        goals = targets & comp
+        alone = [t for t in local if all(t[w] <= ell for w in goals)]
+        if not goals:
+            bounds.append(0)
+        elif alone:
+            bounds.append(int(max((t[v] for t in alone if t[v] <= ell), default=0)))
+        else:
+            slow = sorted((t[v] for t in local), reverse=True) + [0]
+            bounds.append(int(min(slow[1], ell)))
     return bounds
 
 
@@ -605,9 +628,32 @@ def test_label_bounds_match_fixed_point_reference(seed, n):
     if rnd.random() < 0.5:
         g = random_tree(rnd, n)  # long runs, most of them past ell
     else:
-        g = random_graph(rnd, n, rnd.uniform(0.1, 0.6))
+        g = random_graph(rnd, n, rnd.uniform(0.1, 0.6))  # often disconnected
+    targets = frozenset(v for v in range(n) if rnd.random() < rnd.choice((0.4, 0.8, 1)))
     for ell in range(1, max(2, n)):
-        assert _label_bounds(g, ell, _origins(g)) == _reference_label_bounds(g, ell)
+        assert _label_bounds(g, ell, _origins(g), targets) == _reference_label_bounds(
+            g, ell, targets), (g.edges, sorted(targets), ell)
+
+
+@pytest.mark.usefixtures("dp_tables")
+def test_label_bounds_follow_each_component():
+    # Two isolated targets beside a component that one node observes from
+    # ell = 4 on: bounds taken over the whole graph gave every node ell, and
+    # the largest table grew from 143,517 states at ell = 6 to 524,603 at
+    # ell = 8.  Per component, the bounds stop at the slowest run of a node
+    # that suffices alone, and the tables stop growing with ell.
+    g = Graph(12, [(1, 3), (1, 5), (1, 7), (1, 9), (3, 6), (3, 8), (3, 10), (4, 5), (4, 7),
+                   (4, 8), (4, 9), (5, 6), (7, 8), (7, 9), (8, 11)])
+    targets = frozenset({0, 2, 3, 4, 5, 6, 8, 9, 10, 11})
+    largest = set()
+    for ell in (6, 7, 8):
+        stats: dict = {}
+        assert solve_dp(g, targets, ell, stats=stats)[0] == solve_bf(g, targets, ell)[0] == 3
+        assert stats["table_sizes"], ell
+        largest.add(max(stats["table_sizes"]))
+        assert _label_bounds(g, ell, _origins(g), targets) == _reference_label_bounds(
+            g, ell, targets)
+    assert len(largest) == 1, largest
 
 
 def _table_cases():
@@ -639,7 +685,7 @@ def _solver_tables(g, targets, ell, ntd):
     that states of cost ub are covered too."""
     ub, _ = _greedy_upper_bound(g, targets, ell)
     origins = _origins(g)
-    return list(_tables(g, ntd, targets, ub, _label_bounds(g, ell, origins), origins))
+    return list(_tables(g, ntd, targets, ub, _label_bounds(g, ell, origins, targets), origins))
 
 
 class _PlanStoreThatForgets(dict):
@@ -693,7 +739,7 @@ def test_bag_context_and_leaf_tables_match_references():
     leaves = 0
     for g, targets, ell, ntd in _table_cases():
         origins = _reference_origins(g)
-        eb = _reference_label_bounds(g, ell)
+        eb = _reference_label_bounds(g, ell, targets)
         for i, table, ctx in _solver_tables(g, targets, ell, ntd):
             nd = ntd.nodes[i]
             below: set[int] = set()
