@@ -133,6 +133,7 @@ def _cmd_solve(args) -> int:
         run_stats: dict = {}
         opt, witness = solve_dp(g, targets, ell, ntd, stats=run_stats)
         payload["state_table_sizes"] = run_stats.get("table_sizes", [])
+        payload["lower_bound"] = run_stats.get("lower_bound")
         payload["upper_bound"] = run_stats.get("upper_bound")
         payload["origins"] = run_stats.get("origins")
     else:

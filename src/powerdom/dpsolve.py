@@ -42,6 +42,23 @@ branch of the walk is cut as soon as its nodes and every later node in the
 order together leave a target out of reach.  The cut drops only sets that
 cannot work, so each size keeps the same first set.
 
+The same distance argument gives a lower bound.  Targets pairwise more than
+2 * ell apart each need an origin of their own, so a packing of them, taken
+per component from the deepest BFS layer below the component's lowest id
+up, bounds the optimum from below by its size lb.  On a tree with every
+node a target this packing is a largest one, as large as a smallest
+distance-ell dominating set (Meir and Moon 1975), which on paths is the
+optimum.  A sweep in the same order then looks for a set of size lb: the
+first target still unobserved gets the candidate within distance ell of it
+that observes it and the most targets.  One always exists, the target
+itself or the candidate whose closed neighborhood contains the target's.
+The sweep gives up once it holds lb nodes and targets remain.  The greedy
+builds its set pick by pick and pauses for the bound and the sweep only
+once its picks rule out both ub <= 2 and the subset search; a sweep set of
+size lb is optimal and is returned without search or tables, and otherwise
+the greedy resumes, its set being optimal too if it ends at lb.  So solves
+settled at ub <= 2 or by the search do exactly the work they did before.
+
 Only some nodes are offered as origins.  An origin's one effect is to
 observe its closed neighborhood in round 1, and every later round depends
 only on what is observed so far, so spreading is monotone in the union of
@@ -250,33 +267,38 @@ def _prune_dominated(table: dict, ctx: BagContext) -> None:
         del table[state]
 
 
-def _greedy_upper_bound(
-    g: Graph, targets: frozenset[int], ell: int
-) -> tuple[int, frozenset[int]]:
-    """A feasible solution found greedily, with its size; prunes DP states.
+def _rounds(closed: tuple[int, ...], base: int, ell: int) -> list[int] | None:
+    """The observed mask after each round of the run whose first round
+    observes base, for spread's `base`; None at ell == 1, where one round
+    is the first round alone, with nothing to re-run."""
+    if ell == 1:
+        return None
+    times = [0] * len(closed)
+    spread(closed, base, ell, times)
+    rounds = [0] * ell
+    for v, t in enumerate(times):
+        if t:
+            rounds[t - 1] |= 1 << v
+    for r in range(1, ell):
+        rounds[r] |= rounds[r - 1]
+    return rounds
+
+
+def _greedy_picks(g: Graph, tmask: int, ell: int):
+    """A feasible set found greedily, yielded pick by pick as (node, True
+    once every node of tmask is observed).
 
     Each step adds the node whose addition observes the most targets,
     the lowest id among equals.  The chosen set's run is spread once per
     step, and each candidate re-runs only where its extra origin reaches.
     """
     closed = g.closed_masks()
-    tmask = 0
-    for v in targets:
-        tmask |= 1 << v
     chosen = 0
     base = 0  # union of the chosen nodes' closed neighborhoods
     covered = 0
-    rounds = None  # observed mask after each round of the base run
-    while covered < len(targets):
-        if ell > 1:  # one round is the first round alone, with nothing to re-run
-            times = [0] * g.n
-            spread(closed, base, ell, times)
-            rounds = [0] * ell
-            for v, t in enumerate(times):
-                if t:
-                    rounds[t - 1] |= 1 << v
-            for r in range(1, ell):
-                rounds[r] |= rounds[r - 1]
+    goal = tmask.bit_count()
+    while covered < goal:
+        rounds = _rounds(closed, base, ell)
         best = None
         for v in range(g.n):
             if chosen >> v & 1:
@@ -288,7 +310,77 @@ def _greedy_upper_bound(
         covered, v = best
         chosen |= 1 << v
         base |= closed[v]
-    return chosen.bit_count(), frozenset(v for v in range(g.n) if chosen >> v & 1)
+        yield v, covered == goal
+
+
+def _deepest_first(g: Graph, tmask: int) -> list[int]:
+    """The nodes of tmask, component by component in order of their lowest
+    id, each component's from the deepest BFS layer below that id up, the
+    lowest id first within a layer."""
+    closed = g.closed_masks()
+    order: list[int] = []
+    seen = 0
+    for s in range(g.n):
+        if seen >> s & 1:
+            continue
+        layers = [1 << s]
+        reached = 1 << s
+        while front := ball(closed, layers[-1], 1) & ~reached:
+            reached |= front
+            layers.append(front)
+        seen |= reached
+        for layer in reversed(layers):
+            layer &= tmask
+            while layer:
+                low = layer & -layer
+                layer ^= low
+                order.append(low.bit_length() - 1)
+    return order
+
+
+def _packing_bound(g: Graph, tmask: int, ell: int) -> int:
+    """A lower bound on the optimum: the size of a set of targets pairwise
+    more than 2 * ell apart, taken deepest first (see the module docstring)."""
+    closed = g.closed_masks()
+    size = 0
+    blocked = 0
+    for t in _deepest_first(g, tmask):
+        if not blocked >> t & 1:
+            size += 1
+            blocked |= ball(closed, 1 << t, 2 * ell)
+    return size
+
+
+def _sweep(g: Graph, tmask: int, ell: int, origins: int, cap: int) -> frozenset[int] | None:
+    """A feasible set of at most cap candidates, or None when the sweep
+    needs more.  The first target left unobserved, deepest first, gets the
+    candidate within distance ell of it that observes it and the most
+    targets, the lowest id among equals."""
+    closed = g.closed_masks()
+    chosen: list[int] = []
+    base = 0
+    observed = 0
+    for t in _deepest_first(g, tmask):
+        if observed >> t & 1:
+            continue
+        if len(chosen) == cap:
+            return None
+        rounds = _rounds(closed, base, ell)
+        best = None
+        near = ball(closed, 1 << t, ell) & origins
+        while near:
+            low = near & -near
+            near ^= low
+            v = low.bit_length() - 1
+            seen = spread(closed, base | closed[v], ell, stop=tmask, base=rounds)
+            if seen >> t & 1:
+                hit = (seen & tmask).bit_count()
+                if best is None or hit > best[0]:
+                    best = (hit, v, seen)
+        _, v, observed = best
+        chosen.append(v)
+        base |= closed[v]
+    return frozenset(chosen)
 
 
 def _origins(g: Graph) -> int:
@@ -376,10 +468,12 @@ def solve_dp(
     ntd defaults to the nice form of a min-fill heuristic decomposition,
     built only when tables are built; a passed one is always validated
     against g.  ell is clamped to n-1, beyond which one more round can
-    never help.  Returns (optimum, witness set); the witness is the greedy
-    set when nothing smaller exists.  When a dict is passed as stats it
-    receives the greedy upper bound, the number of candidate origins and
-    per-bag table sizes, an empty list when no tables were built.
+    never help.  Returns (optimum, witness set); the witness is the
+    incumbent, the sweep's set or else the greedy's, when nothing smaller
+    exists.  When a dict is passed as stats it receives the packing lower
+    bound, the upper bound (the size of that incumbent), the number of
+    candidate origins and per-bag table sizes, an empty list when no tables
+    were built.
     """
     targets = frozenset(targets)
     if not targets <= frozenset(range(g.n)):
@@ -394,32 +488,57 @@ def solve_dp(
         if bad is not None:
             raise ValueError(f"decomposition does not fit the graph: {bad}")
 
-    ub, greedy_set = _greedy_upper_bound(g, targets, ell)
-    # Only the search and the tables below read the candidates; at ub <= 2
-    # they are counted for stats alone.
-    origins = _origins(g) if ub > 2 or stats is not None else 0
+    tmask = 0
+    for v in targets:
+        tmask |= 1 << v
+    # The greedy pauses once its picks rule out both ub <= 2 and the subset
+    # search; then the packing bound lb and the sweep capped at it run, and
+    # a sweep set of size lb is optimal.
+    picks: list[int] = []
+    origins = lb = swept = None
+    for v, done in _greedy_picks(g, tmask, ell):
+        picks.append(v)
+        if done or len(picks) < 2 or lb is not None:
+            continue
+        if origins is None:
+            origins = _origins(g)
+        nc = origins.bit_count()
+        if comb(nc, min(len(picks), nc // 2)) > SUBSET_LIMIT:
+            lb = _packing_bound(g, tmask, ell)
+            swept = _sweep(g, tmask, ell, origins, lb)
+            if swept is not None:
+                break
+    ub, witness = (lb, swept) if swept is not None else (len(picks), frozenset(picks))
+    if origins is None:
+        # Only the search and the tables below read the candidates; at
+        # ub <= 2 they are counted for stats alone.
+        origins = _origins(g) if ub > 2 or stats is not None else 0
+    if lb is None and stats is not None:
+        lb = _packing_bound(g, tmask, ell)
     cands = [v for v in range(g.n) if origins >> v & 1]
     if stats is not None:
+        stats["lower_bound"] = lb
         stats["upper_bound"] = ub
         stats["origins"] = len(cands)
         stats["table_sizes"] = []
-    opt, witness = ub, greedy_set
-    # The greedy set is optimal at ub <= 2: a lone origin observing every
-    # target would be the greedy's first pick.  Above that, when no size
-    # below ub has many sets of candidates (their count peaks at nc // 2),
-    # the sets are tried outright, the largest first, and none larger than
-    # nc, since all candidates observe every node in round 1.  Otherwise the
-    # tables search only below ub, since a state's cost never falls towards
-    # the root.
+    opt = ub
+    # The incumbent is optimal at ub <= 2, since a lone origin observing
+    # every target would be the greedy's first pick, and at ub == lb.
+    # Otherwise, when no size below ub has many sets of candidates (their
+    # count peaks at nc // 2), the sets are tried outright, the largest
+    # first, and none larger than nc, since all candidates observe every
+    # node in round 1.  Otherwise the tables search only below ub, since a
+    # state's cost never falls towards the root.
     nc = len(cands)
-    if ub > 2 and comb(nc, min(ub - 1, nc // 2)) <= SUBSET_LIMIT:
-        tmask = sum(1 << v for v in targets)
+    if ub <= 2 or ub == lb:
+        pass  # the incumbent is optimal
+    elif comb(nc, min(ub - 1, nc // 2)) <= SUBSET_LIMIT:
         for size in range(min(ub - 1, nc), 1, -1):
             found = first_cover(g.closed_masks(), size, tmask, ell, cands)
             if found is None:
                 break
             opt, witness = size, found
-    elif ub > 2:
+    else:
         if ntd is None:
             ntd = to_nice(heuristic_td(g))
         eb = _label_bounds(g, ell, origins, targets)

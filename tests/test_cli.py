@@ -50,6 +50,7 @@ def test_solve_json(spider_file, capsys):
     assert payload["opt"] == 3
     assert payload["witness"] == sorted(payload["witness"])
     assert len(payload["witness"]) == 3
+    assert payload["lower_bound"] <= payload["opt"] <= payload["upper_bound"]
     assert payload["upper_bound"] >= 3
     # The spider's three leg ends are never candidate origins.
     assert payload["origins"] == 7
@@ -203,6 +204,19 @@ def test_output_is_deterministic(spider_file, capsys):
         data.pop("elapsed_s")
         payloads.append(data)
     assert payloads[0] == payloads[1]
+
+
+def test_certified_dp_output_is_deterministic(tmp_path, capsys):
+    # The packing bound proves the sweep's set optimal on a long path; two
+    # runs print the same witness byte for byte.
+    path = tmp_path / "path.gr"
+    path.write_text("p edge 100 99\n" + "".join(f"e {i} {i + 1}\n" for i in range(1, 100)))
+    outs = [run(capsys, "solve", "--ell", "3", "--method", "dp", str(path)) for _ in range(2)]
+    assert outs[0] == outs[1] and outs[0][1].startswith("opt 15\n")
+    _, out, _ = run(capsys, "solve", "--ell", "3", "--method", "dp", "--json", str(path))
+    payload = json.loads(out)
+    assert payload["lower_bound"] == payload["opt"] == payload["upper_bound"] == 15
+    assert payload["state_table_sizes"] == []
 
 
 def test_oversized_node_count_is_refused(tmp_path, capsys):

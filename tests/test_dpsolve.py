@@ -1,5 +1,5 @@
 import random
-from math import inf as INF
+from math import ceil, inf as INF
 
 import pytest
 from hypothesis import given, settings
@@ -24,20 +24,28 @@ from powerdom.bruteforce import solve_bf
 from powerdom.dpsolve import (
     NO_CAP,
     UNOBSERVED,
-    _greedy_upper_bound,
+    _greedy_picks,
     _insert_may_dominate,
     _join_table,
     _label_bounds,
     _origins,
+    _packing_bound,
     _prune_dominated,
+    _sweep,
     _tables,
     is_invalid_state,
     solve_dp,
 )
-from powerdom.generators import pendant_cycle, spider
+from powerdom.generators import attach_paths, pendant_cycle, spider
 from powerdom.graphs import Graph
 from powerdom.propagation import is_feasible
 from powerdom.treedecomp import TreeDecomposition, heuristic_td, to_nice, validate_td
+
+
+def _greedy_upper_bound(g, targets, ell):
+    """The greedy's whole set, with its size."""
+    chosen = frozenset(v for v, _ in _greedy_picks(g, sum(1 << v for v in targets), ell))
+    return len(chosen), chosen
 
 
 @pytest.mark.usefixtures("dp_tables")
@@ -89,7 +97,7 @@ def test_dense_shortcut_still_exact():
         assert is_feasible(g, witness, range(g.n), 1)
 
 
-def test_stats_hook(monkeypatch):
+def test_stats_hook(request):
     # At ub <= 2 the greedy set is optimal and no table is built.
     for g in (star_graph(6), cycle_graph(6)):
         stats: dict = {}
@@ -99,12 +107,13 @@ def test_stats_hook(monkeypatch):
     # At ell=1 the 4x4 grid's greedy needs 6 and the optimum is 4; on the
     # 3x3 grid nothing is below the greedy's 3, so the greedy set is the
     # answer.  Both have few enough sets below ub (6,868 and 36) to try
-    # them outright, so tables are built only with the limit lowered.
+    # them outright, so tables are built only under dp_tables, which also
+    # turns off the packing bound that proves the 4x4 grid's optimum.
     g4, g3 = grid_graph(4, 4), grid_graph(3, 3)
     greedy3 = _greedy_upper_bound(g3, frozenset(range(g3.n)), 1)
     for tables in (False, True):
         if tables:
-            monkeypatch.setattr(dpsolve, "SUBSET_LIMIT", -1)
+            request.getfixturevalue("dp_tables")
         stats = {}
         assert solve_dp(g4, range(g4.n), 1, stats=stats)[0] == 4
         assert stats["upper_bound"] == 6
@@ -131,12 +140,12 @@ def _subset_search_cases():
     yield grid_graph(4, 4), frozenset(range(16)), 1
 
 
-def test_subset_search_matches_tables(monkeypatch):
+def test_subset_search_matches_tables(request):
     cases = list(_subset_search_cases())
     solved = []
     for tables in (False, True):
         if tables:
-            monkeypatch.setattr(dpsolve, "SUBSET_LIMIT", -1)
+            request.getfixturevalue("dp_tables")
         runs = []
         for g, targets, ell in cases:
             stats: dict = {}
@@ -148,8 +157,8 @@ def test_subset_search_matches_tables(monkeypatch):
     for (g, targets, ell), (opt, ub, tabled), (want, _, forced) in zip(cases, *solved):
         assert opt == want, (g.edges, sorted(targets), ell)
         if ub > 2:
-            # The default limit settles every case by the search; at -1
-            # every one builds tables.
+            # The default limit settles every case by the search; under
+            # dp_tables every one builds tables.
             assert not tabled and forced, (g.edges, sorted(targets), ell)
             searched += 1
             descended += opt <= ub - 2
@@ -364,7 +373,7 @@ TABLE_SIZES = [
 ]
 
 
-def test_table_sizes_are_locked(monkeypatch):
+def test_table_sizes_are_locked(request):
     for g, ell, opt, sizes, _ in TABLE_SIZES:
         targets = frozenset(range(g.n))
         tables = _solver_tables(g, targets, ell, to_nice(heuristic_td(g)))
@@ -373,7 +382,7 @@ def test_table_sizes_are_locked(monkeypatch):
         stats: dict = {}
         assert solve_dp(g, targets, ell, stats=stats)[0] == opt
         assert stats["table_sizes"] == [], (g, ell)
-    monkeypatch.setattr(dpsolve, "SUBSET_LIMIT", -1)
+    request.getfixturevalue("dp_tables")
     for g, ell, opt, _, solved_sizes in TABLE_SIZES:
         stats = {}
         assert solve_dp(g, range(g.n), ell, stats=stats)[0] == opt
@@ -767,3 +776,84 @@ def test_bag_context_and_leaf_tables_match_references():
             assert list(table.items()) == list(want.items()), (g.edges, ell, i)
             leaves += 1
     assert leaves > 700
+
+
+def _bound_cases():
+    """Random graphs of 1 to 10 nodes, often disconnected, with random
+    targets, at every ell."""
+    rng = random.Random(4242)
+    for _ in range(150):
+        n = rng.randint(1, 10)
+        g = random_graph(rng, n, rng.uniform(0.05, 0.5))
+        targets = frozenset(v for v in range(n) if rng.random() < rng.choice((0.3, 0.7, 1)))
+        for ell in range(1, max(2, n)):
+            yield rng, g, targets, ell
+
+
+def _observes_all(g, s, targets, ell):
+    times = naive_times(g, s, ell)
+    return all(times[v] <= ell for v in targets)
+
+
+def test_packing_bound_and_sweep_are_sound(monkeypatch):
+    monkeypatch.setattr(dpsolve, "SUBSET_LIMIT", -1)
+    certified = 0
+    for rng, g, targets, ell in _bound_cases():
+        case = (g.edges, sorted(targets), ell)
+        tmask = sum(1 << v for v in targets)
+        lb = _packing_bound(g, tmask, ell)
+        opt = solve_bf(g, targets, ell)[0] if targets else 0
+        assert lb <= opt, case
+        # A component without targets adds nothing.
+        k = rng.randint(1, 4)
+        extra = random_graph(rng, k, 0.5).edges
+        wider = Graph(g.n + k, [*g.edges, *((g.n + u, g.n + v) for u, v in extra)])
+        assert _packing_bound(wider, tmask, ell) == lb, case
+        for cap in (lb, g.n):
+            swept = _sweep(g, tmask, ell, _origins(g), cap)
+            if swept is not None:
+                assert len(swept) <= cap and _observes_all(g, swept, targets, ell), case
+        # At this limit every solve with ub > 2 pauses for the bound.
+        stats: dict = {}
+        got, witness = solve_dp(g, targets, ell, stats=stats)
+        if targets and stats["lower_bound"] == stats["upper_bound"]:
+            assert got == opt and stats["table_sizes"] == [], case
+            certified += stats["upper_bound"] > 2
+        assert got == opt and _observes_all(g, witness, targets, ell), case
+    assert certified >= 20, certified
+
+
+def _certified(g, ell):
+    stats: dict = {}
+    opt = solve_dp(g, range(g.n), ell, stats=stats)[0]
+    assert stats["table_sizes"] == [] and stats["lower_bound"] == opt, (g.edges, ell)
+    return opt
+
+
+def test_sweep_certifies_long_sparse_graphs_under_relabelling():
+    # Each graph settles without tables under every relabelling: the sweep
+    # reaches the packing bound whatever node ids the tie-breaks see.
+    rng = random.Random(1975)
+    for n in (90, 101, 110):
+        for ell in (2, 3, 4):
+            for _ in range(40):
+                assert _certified(relabelled(path_graph(n), rng), ell) == ceil(n / (2 * ell + 1))
+    # Optima from scipy's milp on build_ip_ell.
+    for g, ell, opt in ((spider(9, 12), 3, 18), (spider(6, 15), 4, 12),
+                        (attach_paths(path_graph(30), 3), 3, 10)):
+        for _ in range(40):
+            assert _certified(relabelled(g, rng), ell) == opt
+
+
+def test_certified_optima_match_tables_on_small_family_members(monkeypatch, request):
+    rng = random.Random(1002)
+    cases = [(spider(4, 6), 3), (spider(3, 8), 4), (spider(5, 4), 2),
+             (attach_paths(path_graph(8), 3), 3)]
+    monkeypatch.setattr(dpsolve, "SUBSET_LIMIT", -1)
+    graphs = [(relabelled(g, rng), ell) for g, ell in cases for _ in range(3)]
+    certified = [_certified(g, ell) for g, ell in graphs]
+    request.getfixturevalue("dp_tables")
+    for (g, ell), opt in zip(graphs, certified):
+        stats: dict = {}
+        assert solve_dp(g, range(g.n), ell, stats=stats)[0] == opt, (g.edges, ell)
+        assert stats["table_sizes"], (g.edges, ell)
