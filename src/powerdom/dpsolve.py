@@ -21,7 +21,10 @@ one / at least two directed edges out into it.  Caps are stored negated, so
 every per-node field merges by max at a join and is smaller-is-better under
 dominance.  A table is a plain dict from state to (cost, back); back indexes
 the child tables in their final, pruned order, so a child's states can be
-dropped as soon as its parent's table is built.
+dropped as soon as its parent's table is built.  Leaves and the root have
+empty bags, so a leaf's table is the empty bag's one state and the root's is
+that state at the optimum's cost: a forget drops every state in which the
+forgotten node is still hatted.
 
 Tables are built only when they can pay.  solve_dp first holds a feasible
 set of size ub, the greedy one.  At ub <= 2 that set is optimal.  Above
@@ -467,13 +470,15 @@ def solve_dp(
 
     ntd defaults to the nice form of a min-fill heuristic decomposition,
     built only when tables are built; a passed one is always validated
-    against g.  ell is clamped to n-1, beyond which one more round can
+    against g, and its leaves and root must have empty bags, as to_nice
+    builds them.  ell is clamped to n-1, beyond which one more round can
     never help.  Returns (optimum, witness set); the witness is the
     incumbent, the sweep's set or else the greedy's, when nothing smaller
     exists.  When a dict is passed as stats it receives the packing lower
     bound, the upper bound (the size of that incumbent), the number of
-    candidate origins and per-bag table sizes, an empty list when no tables
-    were built.
+    candidate origins and per-nice-node table sizes, in post order, an
+    empty list when no tables were built.  They are filled in after the
+    solve, so passing stats changes none of its steps.
     """
     targets = frozenset(targets)
     if not targets <= frozenset(range(g.n)):
@@ -487,6 +492,10 @@ def solve_dp(
         bad = validate_td(g, ntd.to_td())
         if bad is not None:
             raise ValueError(f"decomposition does not fit the graph: {bad}")
+        for i, nd in enumerate(ntd.nodes):
+            if nd.bag and (i == ntd.root or nd.kind == "leaf"):
+                where = "root" if i == ntd.root else "leaf"
+                raise ValueError(f"nice node {i} is a {where} with a nonempty bag")
 
     tmask = 0
     for v in targets:
@@ -513,14 +522,8 @@ def solve_dp(
         # Only the search and the tables below read the candidates; at
         # ub <= 2 they are counted for stats alone.
         origins = _origins(g) if ub > 2 or stats is not None else 0
-    if lb is None and stats is not None:
-        lb = _packing_bound(g, tmask, ell)
     cands = [v for v in range(g.n) if origins >> v & 1]
-    if stats is not None:
-        stats["lower_bound"] = lb
-        stats["upper_bound"] = ub
-        stats["origins"] = len(cands)
-        stats["table_sizes"] = []
+    sizes: list[int] = []
     opt = ub
     # The incumbent is optimal at ub <= 2, since a lone origin observing
     # every target would be the greedy's first pick, and at ub == lb.
@@ -547,19 +550,20 @@ def solve_dp(
         backs: list[list | None] = [None] * len(ntd.nodes)
         for i, table, _ in _tables(g, ntd, targets, ub - 1, eb, origins):
             backs[i] = [back for _, back in table.values()]
-            if stats is not None:
-                stats["table_sizes"].append(len(table))
-        best = None
-        for at, (state, (cost, _)) in enumerate(table.items()):
-            if state[-4]:
-                continue  # a hat is still owed
-            if best is None or (cost, state) < best[:2]:
-                best = (cost, state, at)
-        if best is not None:
-            opt, _, at = best
-            witness = frozenset(_reconstruct(ntd, backs, at))
+            sizes.append(len(table))
+        # The root's bag is empty, so its table holds the one empty state
+        # unless nothing fits below ub.
+        if table:
+            [(opt, _)] = table.values()
+            witness = frozenset(_reconstruct(ntd, backs))
     if len(witness) != opt or not is_feasible(g, witness, targets, ell):
         raise RuntimeError("solution failed verification; this is an internal error")
+    if stats is not None:
+        # Filled in only now, so that passing stats changes no step above.
+        stats["lower_bound"] = _packing_bound(g, tmask, ell) if lb is None else lb
+        stats["upper_bound"] = ub
+        stats["origins"] = len(cands)
+        stats["table_sizes"] = sizes
     return (opt, witness)
 
 
@@ -595,8 +599,9 @@ def _tables(
     """Build every nice node's pruned table bottom-up, keeping states of
     cost at most bound whose origins are in the mask origins, and yield
     (node index, table, bag context) as each is done, the root's last.  A
-    child's table is released once its parent's is built."""
-    empty = BagContext(g, (), targets, 0)
+    leaf's table is the empty bag's one state, and so is the root's unless
+    nothing fits under bound.  A child's table is released once its
+    parent's is built."""
     contexts: list[BagContext | None] = [None] * len(ntd.nodes)
     seen: list[int] = [0] * len(ntd.nodes)
     tables: list[dict | None] = [None] * len(ntd.nodes)
@@ -611,11 +616,7 @@ def _tables(
         seen[i] = mask
         ctx = contexts[i] = BagContext(g, nd.bag, targets, mask)
         if nd.kind == "leaf":
-            # The empty bag's one state, then the leaf's node, if any,
-            # inserted into it.
-            table = {(0, 0, 0, 0): (0, (0, 0))}
-            for x in nd.bag:
-                table = _insert_table(ctx, empty, table, x, bound, eb, origins, plans)
+            table = {(0, 0, 0, 0): (0, ())}
         elif nd.kind == "insert":
             c = nd.children[0]
             table = _insert_table(
@@ -932,18 +933,15 @@ def _join_table(
     return table
 
 
-def _reconstruct(ntd: NiceTreeDecomposition, backs, root_at: int) -> set[int]:
-    """Follow back-references down from the root state at index root_at."""
+def _reconstruct(ntd: NiceTreeDecomposition, backs) -> set[int]:
+    """The nodes inserted as origins below the root's one state."""
     witness: set[int] = set()
-    stack = [(ntd.root, root_at)]
+    stack = [(ntd.root, 0)]
     while stack:
         i, at = stack.pop()
         nd = ntd.nodes[i]
         back = backs[i][at]
-        if nd.kind == "leaf":
-            if back[1]:
-                witness.update(nd.bag)
-        elif nd.kind == "insert":
+        if nd.kind == "insert":
             at, origin = back
             if origin:
                 witness.add(nd.node)
@@ -951,6 +949,5 @@ def _reconstruct(ntd: NiceTreeDecomposition, backs, root_at: int) -> set[int]:
         elif nd.kind == "forget":
             stack.append((nd.children[0], back))
         else:
-            stack.append((nd.children[0], back[0]))
-            stack.append((nd.children[1], back[1]))
+            stack.extend(zip(nd.children, back))  # a leaf's back is ()
     return witness

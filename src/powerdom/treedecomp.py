@@ -159,7 +159,8 @@ def heuristic_td(g: Graph) -> TreeDecomposition:
 @dataclass(frozen=True)
 class NiceNode:
     """kind is 'leaf', 'insert', 'forget', or 'join'; node is the vertex
-    inserted or forgotten (None otherwise)."""
+    inserted or forgotten (None otherwise).  Leaves and the root have empty
+    bags."""
 
     kind: str
     bag: frozenset[int]
@@ -184,11 +185,13 @@ class NiceTreeDecomposition:
 
 
 def to_nice(td: TreeDecomposition) -> NiceTreeDecomposition:
-    """Root at bag 0 and normalize: leaves become single-node Leaf bags grown
-    by Insert chains, tree edges become Forget-then-Insert splices, and bags
-    with several children become chains of equal-bag binary Joins.  Width is
-    preserved and every original bag appears among the nice bags.  The walk
-    visits each tree edge once and is iterative, so depth is no limit."""
+    """Root at bag 0 and normalize to the textbook nice form (Cygan et al.,
+    Parameterized Algorithms, 2015, ch. 7): leaves become empty Leaf bags
+    grown by Insert chains, tree edges become Forget-then-Insert splices,
+    bags with several children become chains of equal-bag binary Joins, and
+    bag 0 is forgotten down to an empty root.  Width is preserved and every
+    original bag appears among the nice bags.  The walk visits each tree
+    edge once and is iterative, so depth is no limit."""
     nodes: list[NiceNode] = []
 
     def add(kind: str, bag: frozenset[int], children: tuple[int, ...], node=None) -> int:
@@ -213,7 +216,6 @@ def to_nice(td: TreeDecomposition) -> NiceTreeDecomposition:
     # Children's nice tops, in ascending bag order; a bag is built once all
     # of its children are, each child spliced in as soon as it is done.
     tops: list[list[int]] = [[] for _ in td.bags]
-    root = 0
     stack: list[tuple[int, bool]] = [(0, False)]
     while stack:
         i, expanded = stack.pop()
@@ -226,22 +228,19 @@ def to_nice(td: TreeDecomposition) -> NiceTreeDecomposition:
                 stack.append((j, False))
             continue
         if not tops[i]:
-            if not bag:
-                top = add("leaf", frozenset(), ())
-            else:
-                first = min(bag)
-                top = splice(add("leaf", frozenset({first}), ()), frozenset({first}), bag)
+            top = splice(add("leaf", frozenset(), ()), frozenset(), bag)
         else:
             top = tops[i][0]
             for other in tops[i][1:]:
                 top = add("join", bag, (top, other))
         p = parent[i]
         if p is None:
-            root = top
+            root = splice(top, bag, frozenset())
         else:
             tops[p].append(splice(top, bag, td.bags[p]))
-    n_graph = len(set().union(*td.bags)) if td.bags else 0
-    assert len(nodes) <= 8 * max(n_graph + len(td.bags), 1), "nice form grew nonlinearly"
+    # Per bag a leaf and its inserts, a join, and the splice to its parent.
+    w = max(map(len, td.bags))
+    assert len(nodes) <= (3 * w + 2) * len(td.bags) + w, "nice form grew past its bound"
     return NiceTreeDecomposition(tuple(nodes), root)
 
 

@@ -1,4 +1,6 @@
 import random
+import sys
+from collections import Counter
 from math import ceil, inf as INF
 
 import pytest
@@ -39,7 +41,14 @@ from powerdom.dpsolve import (
 from powerdom.generators import attach_paths, pendant_cycle, spider
 from powerdom.graphs import Graph
 from powerdom.propagation import is_feasible
-from powerdom.treedecomp import TreeDecomposition, heuristic_td, to_nice, validate_td
+from powerdom.treedecomp import (
+    NiceNode,
+    NiceTreeDecomposition,
+    TreeDecomposition,
+    heuristic_td,
+    to_nice,
+    validate_td,
+)
 
 
 def _greedy_upper_bound(g, targets, ell):
@@ -138,6 +147,52 @@ def _subset_search_cases():
             targets = frozenset(v for v in range(n) if rng.random() < 0.7) or frozenset({0})
             yield g, targets, ell
     yield grid_graph(4, 4), frozenset(range(16)), 1
+
+
+def test_stats_observe_the_solve_without_steering_it(monkeypatch):
+    # Stats observe a solve and do not steer it: a lower bound computed
+    # only for stats must not let ub == lb skip the subset search that a
+    # plain call runs.  With and without stats, a solve makes the same
+    # search and table calls and returns the same optimum and witness.
+    calls = Counter()
+    for name in ("first_cover", "_tables"):
+        def counted(*args, _orig=getattr(dpsolve, name), _name=name, **kwargs):
+            calls[_name] += 1
+            return _orig(*args, **kwargs)
+
+        monkeypatch.setattr(dpsolve, name, counted)
+    searched = 0
+    for m, ell in [(m, 1) for m in range(6, 17)] + [(m, 2) for m in (9, 12, 15, 18)]:
+        g = pendant_cycle(m)
+        runs = []
+        for stats in (None, {}):
+            calls.clear()
+            runs.append((solve_dp(g, range(g.n), ell, stats=stats), dict(calls)))
+        assert runs[0] == runs[1], (m, ell)
+        searched += calls["first_cover"] > 0
+    assert searched == 15
+
+
+def test_decomposition_not_in_nice_form_is_refused(monkeypatch):
+    # Leaves and the root must have empty bags, and the table builder is
+    # never reached: a leaf {0}, an insert of 1 and the root bag {0, 1}; then
+    # an empty leaf grown to the same root.
+    monkeypatch.setattr(dpsolve, "_tables", None)
+    g = path_graph(2)
+    full_leaf = (
+        NiceNode("leaf", frozenset({0}), ()),
+        NiceNode("insert", frozenset({0, 1}), (0,), 1),
+    )
+    full_root = (
+        NiceNode("leaf", frozenset(), ()),
+        NiceNode("insert", frozenset({0}), (0,), 0),
+        NiceNode("insert", frozenset({0, 1}), (1,), 1),
+    )
+    for ntd, where in ((NiceTreeDecomposition(full_leaf, 1), "nice node 0 is a leaf"),
+                       (NiceTreeDecomposition(full_root, 2), "nice node 2 is a root")):
+        assert validate_td(g, ntd.to_td()) is None
+        with pytest.raises(ValueError, match=where):
+            solve_dp(g, {0, 1}, 1, ntd)
 
 
 def test_subset_search_matches_tables(request):
@@ -323,8 +378,8 @@ def test_join_refuses_two_justifying_edges():
     ntd = to_nice(td)
     ub = 3
     built = {i: (t, ctx) for i, t, ctx in _tables(g, ntd, frozenset(range(3)), ub, [2] * 3, 0b111)}
-    j = ntd.root
-    assert ntd.nodes[j].kind == "join" and ntd.nodes[j].bag == {1}
+    [j] = [i for i, nd in enumerate(ntd.nodes) if nd.kind == "join"]
+    assert ntd.nodes[j].bag == {1}
     left, right = (built[c][0] for c in ntd.nodes[j].children)
 
     def justified(t):
@@ -334,7 +389,7 @@ def test_join_refuses_two_justifying_edges():
         return {s: v for s, v in t.items() if s[-4] & 1}
 
     ctx = built[j][1]
-    assert ctx.open == 0  # the root has seen every node
+    assert ctx.open == 0  # the join has seen every node
     assert justified(left) and justified(right)
     assert _join_table(ctx, justified(left), justified(right), ub) == {}
     joined = _join_table(ctx, justified(left), hatted(right), ub)
@@ -344,32 +399,36 @@ def test_join_refuses_two_justifying_edges():
 # Optimum and per-nice-node table sizes (post order, after pruning) on the
 # default decomposition: first at the greedy bound ub, then as solve_dp
 # builds them with the subset search off, at ub - 1 and none when ub <= 2.
-# A change of state layout must leave them as they are.  The spiders and the
-# pendant cycle hold nodes whose closed neighborhood another node's contains
-# (leg ends, pendant leaves); since those are never offered as origins,
-# their tables are smaller than when every node was, while the grids and
-# the prism, which have no such node, kept theirs.
+# A change of state layout must leave them as they are.  Each empty leaf
+# holds the empty bag's one state, and each list ends with the forgets down
+# to the empty root, whose table holds that state or, when nothing fits
+# below the bound, none.  The spiders and the pendant cycle hold nodes
+# whose closed neighborhood another node's contains (leg ends, pendant
+# leaves); since those are never offered as origins, their tables are
+# smaller than when every node was, while the grids and the prism, which
+# have no such node, kept theirs.
 TABLE_SIZES = [
     (grid_graph(3, 3), 1, 3, [
-        2, 6, 13, 13, 46, 114, 2, 6, 13, 13, 46, 114, 157, 108, 144, 2, 6, 13, 13, 25,
-        114, 83, 30, 18, 9], [
-        2, 6, 12, 12, 35, 62, 2, 6, 12, 12, 35, 62, 38, 32, 23, 2, 6, 12, 12, 18, 62, 6,
-        4, 3, 0]),
+        1, 2, 6, 13, 13, 46, 114, 1, 2, 6, 13, 13, 46, 114, 157, 108, 144, 1, 2, 6, 13, 13,
+        25, 114, 83, 30, 18, 9, 5, 2, 1], [
+        1, 2, 6, 12, 12, 35, 62, 1, 2, 6, 12, 12, 35, 62, 38, 32, 23, 1, 2, 6, 12, 12, 18,
+        62, 6, 4, 3, 0, 0, 0, 0]),
     (grid_graph(3, 4), 2, 2, [
-        3, 14, 57, 227, 3, 9, 35, 35, 95, 599, 3, 14, 35, 35, 179, 594, 796, 590, 903,
-        886, 559, 909, 650, 766, 625, 546, 3, 14, 35, 35, 95, 604, 176, 108, 49, 5], []),
+        1, 3, 14, 57, 227, 1, 3, 9, 35, 35, 95, 599, 1, 3, 14, 35, 35, 179, 594, 796, 590,
+        903, 886, 559, 909, 650, 766, 625, 546, 1, 3, 14, 35, 35, 95, 604, 176, 108, 49, 5,
+        4, 3, 1], []),
     (pendant_cycle(6), 3, 2, [
-        4, 4, 4, 17, 4, 4, 4, 17, 18, 47, 4, 4, 4, 17, 96, 49, 43, 96, 4, 4, 4, 17, 67,
-        105, 36, 69, 4, 4, 4, 17, 67, 76, 35, 31, 23, 7, 2], []),
+        1, 4, 4, 4, 17, 1, 4, 4, 4, 17, 18, 47, 1, 4, 4, 4, 17, 96, 49, 43, 96, 1, 4, 4, 4,
+        17, 67, 105, 36, 69, 1, 4, 4, 4, 17, 67, 76, 35, 31, 23, 7, 2, 2, 1], []),
     (prism_graph(5), 2, 2, [
-        3, 14, 57, 141, 141, 518, 1416, 1091, 2521, 3, 14, 57, 141, 141, 519, 1275, 3,
-        9, 57, 141, 141, 363, 1425, 4163, 2009, 1080, 601, 36], []),
+        1, 3, 14, 57, 141, 141, 518, 1416, 1091, 2521, 1, 3, 14, 57, 141, 141, 519, 1275, 1,
+        3, 9, 57, 141, 141, 363, 1425, 4163, 2009, 1080, 601, 36, 25, 10, 3, 1], []),
     (spider(3, 3), 2, 3, [
-        2, 3, 3, 5, 5, 15, 3, 2, 2, 5, 5, 15, 10, 41, 44, 12, 14, 11, 20, 12, 4], [
-        2, 3, 3, 5, 5, 15, 3, 2, 2, 5, 5, 15, 10, 41, 41, 12, 13, 10, 13, 10, 3]),
+        1, 2, 3, 3, 5, 5, 15, 1, 3, 2, 2, 5, 5, 15, 10, 41, 44, 12, 14, 11, 20, 12, 4, 2, 1], [
+        1, 2, 3, 3, 5, 5, 15, 1, 3, 2, 2, 5, 5, 15, 10, 41, 41, 12, 13, 10, 13, 10, 3, 2, 1]),
     (spider(4, 2), 1, 4, [
-        1, 1, 1, 3, 2, 1, 1, 3, 3, 8, 2, 1, 1, 3, 3, 8, 8, 4, 3, 6, 5, 2], [
-        1, 1, 1, 3, 2, 1, 1, 3, 3, 8, 2, 1, 1, 3, 3, 8, 8, 4, 3, 5, 4, 1]),
+        1, 1, 1, 1, 3, 1, 2, 1, 1, 3, 3, 8, 1, 2, 1, 1, 3, 3, 8, 8, 4, 3, 6, 5, 2, 1, 1], [
+        1, 1, 1, 1, 3, 1, 2, 1, 1, 3, 3, 8, 1, 2, 1, 1, 3, 3, 8, 8, 4, 3, 5, 4, 1, 1, 1]),
 ]
 
 
@@ -390,11 +449,16 @@ def test_table_sizes_are_locked(request):
 
 
 def _root_optimum(g, targets, ell, ntd, bound):
-    """Cheapest hat-free root state in tables built at bound, or None."""
+    """The cost of the empty root's one state in tables built at bound, or
+    None when the root's table is empty."""
     origins = _origins(g)
     eb = _label_bounds(g, ell, origins, targets)
     *_, (_, root, _) = _tables(g, ntd, targets, bound, eb, origins)
-    return min((cost for state, (cost, _) in root.items() if not state[-4]), default=None)
+    if not root:
+        return None
+    [(state, (cost, _))] = root.items()
+    assert state == (0, 0, 0, 0)
+    return cost
 
 
 def _check_against_bruteforce(g, targets, ell, ntd) -> str:
@@ -739,12 +803,57 @@ def test_skipped_dominance_sweeps_would_remove_nothing():
     assert skipped > 1000
 
 
+def test_sweeps_during_a_build_keep_optima_and_table_sizes(monkeypatch, request):
+    # An insert or join table is swept for dominated states whenever it
+    # grows past PRUNE_TRIGGER entries.  At a trigger of 3 these sweeps run
+    # on small graphs, and they may drop only what the sweep after the
+    # table drops anyway: optima and the per-node table sizes solve_dp
+    # reports stay the same.  The grids and the prism settle at ub <= 2, so
+    # their tables are built as _solver_tables builds them.
+    request.getfixturevalue("dp_tables")
+    rng = random.Random(3141)
+    cases = []
+    for _ in range(300):
+        n = rng.randint(3, 10)
+        g = random_graph(rng, n, rng.uniform(0.2, 0.7))
+        targets = frozenset(v for v in range(n) if rng.random() < 0.8) or frozenset({0})
+        cases.append((g, targets, rng.randint(1, min(4, n - 1))))
+    named = ((grid_graph(3, 4), 2), (prism_graph(5), 2), (grid_graph(3, 3), 1))
+
+    def solve_all():
+        out = []
+        for g, targets, ell in cases:
+            stats: dict = {}
+            out.append((solve_dp(g, targets, ell, stats=stats)[0], stats["table_sizes"]))
+        for g, ell in named:
+            tables = _solver_tables(g, frozenset(range(g.n)), ell, to_nice(heuristic_td(g)))
+            out.append([len(table) for _, table, _ in tables])
+        return out
+
+    default = solve_all()
+    callers = Counter()
+    prune = dpsolve._prune_dominated
+
+    def counted(table, ctx):
+        callers[sys._getframe(1).f_code.co_name] += 1
+        prune(table, ctx)
+
+    monkeypatch.setattr(dpsolve, "_prune_dominated", counted)
+    monkeypatch.setattr(dpsolve, "PRUNE_TRIGGER", 3)
+    swept = solve_all()
+    assert callers["_insert_table"] and callers["_join_table"], callers
+    assert swept == default
+    for (g, targets, ell), (opt, _) in zip(cases, swept):
+        assert opt == solve_bf(g, targets, ell)[0], (g.edges, sorted(targets), ell)
+    assert sum(1 for _, sizes in swept[:len(cases)] if sizes) > 40
+
+
 def test_bag_context_and_leaf_tables_match_references():
     # A bag node is open when it has a neighbor outside the nodes of the
-    # bags in its nice node's subtree.  A leaf's table, built as an insert
-    # into the empty bag, must hold what the leaf rule gives: the origin at
-    # cost 1 on a candidate origin, UNOBSERVED off the targets, and hats
-    # 1..eb[v] while v is open.
+    # bags in its nice node's subtree.  A leaf's table is the empty bag's
+    # one state, and the insert of v directly above it must hold what the
+    # leaf rule gives: the origin at cost 1 on a candidate origin,
+    # UNOBSERVED off the targets, and hats 1..eb[v] while v is open.
     leaves = 0
     for g, targets, ell, ntd in _table_cases():
         origins = _reference_origins(g)
@@ -760,19 +869,20 @@ def test_bag_context_and_leaf_tables_match_references():
             want_open = {v for v in nd.bag if any(w not in below for w in g.adjacency[v])}
             assert {v for v in ctx.nodes if ctx.open >> ctx.pos[v] & 1} == want_open, (
                 g.edges, ell, i)
-            if nd.kind != "leaf":
+            if nd.kind == "leaf":
+                assert not nd.bag and list(table) == [(0, 0, 0, 0)], (g.edges, ell, i)
+            if nd.kind != "insert" or ntd.nodes[nd.children[0]].kind != "leaf":
                 continue
-            want = {(0, 0, 0, 0): (0, (0, 0))}
-            for v in nd.bag:
-                options = [(0, 0)] if v in origins else []
-                if v not in targets:
-                    options.append((UNOBSERVED, 0))
-                if v in want_open:
-                    options.extend((a, 1) for a in range(1, eb[v] + 1))
-                want = {
-                    (val, 0, -NO_CAP, hat, 0, 0, 0): (int(val == 0), (0, int(val == 0)))
-                    for val, hat in options
-                }
+            v = nd.node
+            options = [(0, 0)] if v in origins else []
+            if v not in targets:
+                options.append((UNOBSERVED, 0))
+            if v in want_open:
+                options.extend((a, 1) for a in range(1, eb[v] + 1))
+            want = {
+                (val, 0, -NO_CAP, hat, 0, 0, 0): (int(val == 0), (0, int(val == 0)))
+                for val, hat in options
+            }
             assert list(table.items()) == list(want.items()), (g.edges, ell, i)
             leaves += 1
     assert leaves > 700

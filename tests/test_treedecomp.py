@@ -175,12 +175,13 @@ def test_heuristic_matches_reference_min_fill():
 
 
 def assert_nice_form(td, ntd):
-    """Local nice-form rules, one tree reached from the root, width kept,
-    and every original bag present."""
+    """Local nice-form rules, empty leaves and an empty root, one tree
+    reached from the root, width kept, and every original bag present."""
     assert ntd.width == td.width
+    assert ntd.nodes[ntd.root].bag == frozenset()
     for nd in ntd.nodes:
         if nd.kind == "leaf":
-            assert not nd.children and len(nd.bag) == 1
+            assert not nd.children and nd.bag == frozenset()
         elif nd.kind == "insert":
             (c,) = nd.children
             assert nd.bag == ntd.nodes[c].bag | {nd.node}
@@ -208,6 +209,11 @@ def test_to_nice_invariants():
         ntd = to_nice(td)
         assert validate_td(g, ntd.to_td()) is None
         assert_nice_form(td, ntd)
+    # Forty leaf bags holding all of K10 below one more: each leaf grows by
+    # ten inserts, far more nice nodes than graph nodes and bags together.
+    bag = frozenset(range(10))
+    td = TreeDecomposition((bag,) * 41, tuple((0, i) for i in range(1, 41)))
+    assert_nice_form(td, to_nice(td))
 
 
 def test_to_nice_on_a_deep_path_decomposition():
@@ -220,9 +226,10 @@ def test_to_nice_on_a_deep_path_decomposition():
     )
     ntd = to_nice(td)
     assert_nice_form(td, ntd)
-    # One leaf and insert, then a forget and an insert per tree edge.
-    assert len(ntd.nodes) == 2 * n
-    assert ntd.nodes[ntd.root].bag == td.bags[0]
+    # An empty leaf and two inserts, a forget and an insert per tree edge,
+    # then two forgets down to the empty root.
+    assert len(ntd.nodes) == 2 * n + 3
+    assert ntd.nodes[ntd.root].bag == frozenset()
 
 
 def test_parse_emit_round_trip():
