@@ -287,31 +287,37 @@ def _rounds(closed: tuple[int, ...], base: int, ell: int) -> list[int] | None:
     return rounds
 
 
+def _best_pick(closed: tuple[int, ...], base: int, ell: int, tmask: int, pool: int, need: int = 0):
+    """(targets observed, node, observed mask) for the node of the mask pool
+    that, added to the origins whose closed neighborhoods make up base,
+    observes all of need and the most targets, the lowest id among equals;
+    None when none observes need.  The run of base is spread once, and each
+    node re-runs only where its extra origin reaches."""
+    rounds = _rounds(closed, base, ell)
+    top, best = -1, None
+    while pool:
+        low = pool & -pool
+        pool ^= low
+        v = low.bit_length() - 1
+        seen = spread(closed, base | closed[v], ell, None, tmask, rounds)  # times, stop, base
+        hit = (seen & tmask).bit_count()
+        if hit > top and seen & need == need:
+            top, best = hit, (hit, v, seen)
+    return best
+
+
 def _greedy_picks(g: Graph, tmask: int, ell: int):
     """A feasible set found greedily, yielded pick by pick as (node, True
-    once every node of tmask is observed).
-
-    Each step adds the node whose addition observes the most targets,
-    the lowest id among equals.  The chosen set's run is spread once per
-    step, and each candidate re-runs only where its extra origin reaches.
-    """
+    once every node of tmask is observed).  Each step adds the best pick
+    among the nodes not yet chosen."""
     closed = g.closed_masks()
-    chosen = 0
+    pool = (1 << g.n) - 1
     base = 0  # union of the chosen nodes' closed neighborhoods
     covered = 0
     goal = tmask.bit_count()
     while covered < goal:
-        rounds = _rounds(closed, base, ell)
-        best = None
-        for v in range(g.n):
-            if chosen >> v & 1:
-                continue
-            hit = (spread(closed, base | closed[v], ell, stop=tmask, base=rounds)
-                   & tmask).bit_count()
-            if best is None or hit > best[0]:
-                best = (hit, v)
-        covered, v = best
-        chosen |= 1 << v
+        covered, v, _ = _best_pick(closed, base, ell, tmask, pool)
+        pool ^= 1 << v
         base |= closed[v]
         yield v, covered == goal
 
@@ -356,9 +362,8 @@ def _packing_bound(g: Graph, tmask: int, ell: int) -> int:
 
 def _sweep(g: Graph, tmask: int, ell: int, origins: int, cap: int) -> frozenset[int] | None:
     """A feasible set of at most cap candidates, or None when the sweep
-    needs more.  The first target left unobserved, deepest first, gets the
-    candidate within distance ell of it that observes it and the most
-    targets, the lowest id among equals."""
+    needs more.  The first target t left unobserved, deepest first, gets the
+    best pick among the candidates within distance ell of t that observe t."""
     closed = g.closed_masks()
     chosen: list[int] = []
     base = 0
@@ -368,19 +373,8 @@ def _sweep(g: Graph, tmask: int, ell: int, origins: int, cap: int) -> frozenset[
             continue
         if len(chosen) == cap:
             return None
-        rounds = _rounds(closed, base, ell)
-        best = None
         near = ball(closed, 1 << t, ell) & origins
-        while near:
-            low = near & -near
-            near ^= low
-            v = low.bit_length() - 1
-            seen = spread(closed, base | closed[v], ell, stop=tmask, base=rounds)
-            if seen >> t & 1:
-                hit = (seen & tmask).bit_count()
-                if best is None or hit > best[0]:
-                    best = (hit, v, seen)
-        _, v, observed = best
+        _, v, observed = _best_pick(closed, base, ell, tmask, near, 1 << t)
         chosen.append(v)
         base |= closed[v]
     return frozenset(chosen)
@@ -458,6 +452,12 @@ def _label_bounds(g: Graph, ell: int, origins: int, targets: frozenset[int]) -> 
     return [lone[v] if alone >> v & 1 else int(min(second[v], ell)) for v in range(g.n)]
 
 
+def _searchable(nc: int, size: int) -> bool:
+    """Whether no size up to size has more than SUBSET_LIMIT sets of nc
+    candidates for the subset search to try; their count peaks at nc // 2."""
+    return comb(nc, min(size, nc // 2)) <= SUBSET_LIMIT
+
+
 def solve_dp(
     g: Graph,
     targets,
@@ -469,16 +469,19 @@ def solve_dp(
     """Minimum-size set observing every target within ell rounds, exactly.
 
     ntd defaults to the nice form of a min-fill heuristic decomposition,
-    built only when tables are built; a passed one is always validated
-    against g, and its leaves and root must have empty bags, as to_nice
-    builds them.  ell is clamped to n-1, beyond which one more round can
-    never help.  Returns (optimum, witness set); the witness is the
-    incumbent, the sweep's set or else the greedy's, when nothing smaller
-    exists.  When a dict is passed as stats it receives the packing lower
-    bound, the upper bound (the size of that incumbent), the number of
-    candidate origins and per-nice-node table sizes, in post order, an
-    empty list when no tables were built.  They are filled in after the
-    solve, so passing stats changes none of its steps.
+    built only when tables are built.  A passed one is always validated
+    against g and must keep the nice form's rules, as to_nice builds it: a
+    leaf has no children and an empty bag, an insert or a forget has one
+    child whose bag its node is added to or taken from, a join has two
+    children with its own bag, and the root's bag is empty.  A nice node
+    breaking its rule is refused with a ValueError.  ell is clamped to n-1,
+    beyond which one more round can never help.  Returns (optimum, witness
+    set); the witness is the incumbent, the sweep's set or else the
+    greedy's, when nothing smaller exists.  When a dict is passed as stats
+    it receives the packing lower bound, the upper bound (the size of that
+    incumbent), the number of candidate origins and per-nice-node table
+    sizes, in post order, an empty list when no tables were built.  They are
+    filled in after the solve, so passing stats changes none of its steps.
     """
     targets = frozenset(targets)
     if not targets <= frozenset(range(g.n)):
@@ -493,9 +496,19 @@ def solve_dp(
         if bad is not None:
             raise ValueError(f"decomposition does not fit the graph: {bad}")
         for i, nd in enumerate(ntd.nodes):
-            if nd.bag and (i == ntd.root or nd.kind == "leaf"):
-                where = "root" if i == ntd.root else "leaf"
-                raise ValueError(f"nice node {i} is a {where} with a nonempty bag")
+            kids = [ntd.nodes[c].bag for c in nd.children]
+            x = {nd.node}
+            ok = {
+                "leaf": not kids and not nd.bag,
+                "insert": kids == [nd.bag - x] and x <= nd.bag,
+                "forget": kids == [nd.bag | x] and not x & nd.bag,
+                "join": kids == [nd.bag, nd.bag],
+            }.get(nd.kind)
+            if not ok:
+                raise ValueError(f"nice node {i} is {'an' if nd.kind == 'insert' else 'a'} "
+                                 f"{nd.kind} that breaks its rule")
+            if i == ntd.root and nd.bag:
+                raise ValueError(f"nice node {i} is a root with a nonempty bag")
 
     tmask = 0
     for v in targets:
@@ -511,8 +524,8 @@ def solve_dp(
             continue
         if origins is None:
             origins = _origins(g)
-        nc = origins.bit_count()
-        if comb(nc, min(len(picks), nc // 2)) > SUBSET_LIMIT:
+        if not _searchable(origins.bit_count(), len(picks)):
+            # The search can no longer settle the greedy's set.
             lb = _packing_bound(g, tmask, ell)
             swept = _sweep(g, tmask, ell, origins, lb)
             if swept is not None:
@@ -527,16 +540,15 @@ def solve_dp(
     opt = ub
     # The incumbent is optimal at ub <= 2, since a lone origin observing
     # every target would be the greedy's first pick, and at ub == lb.
-    # Otherwise, when no size below ub has many sets of candidates (their
-    # count peaks at nc // 2), the sets are tried outright, the largest
-    # first, and none larger than nc, since all candidates observe every
-    # node in round 1.  Otherwise the tables search only below ub, since a
-    # state's cost never falls towards the root.
-    nc = len(cands)
+    # Otherwise, when the search may try every size below ub, the sets are
+    # tried outright, the largest first, and none larger than the number of
+    # candidates, since all of them observe every node in round 1.
+    # Otherwise the tables search only below ub, since a state's cost never
+    # falls towards the root.
     if ub <= 2 or ub == lb:
         pass  # the incumbent is optimal
-    elif comb(nc, min(ub - 1, nc // 2)) <= SUBSET_LIMIT:
-        for size in range(min(ub - 1, nc), 1, -1):
+    elif _searchable(len(cands), ub - 1):
+        for size in range(min(ub - 1, len(cands)), 1, -1):
             found = first_cover(g.closed_masks(), size, tmask, ell, cands)
             if found is None:
                 break
@@ -889,12 +901,10 @@ def _join_table(
         tail = state[head:-4]
         return (tail, max(tail[:n], default=0), -max(tail[n:], default=-NO_CAP), *state[-4:])
 
-    # Right states by orientation and labels, in table order; and, filled
-    # on first use, those of a key within a cost budget below bound.
+    # Right states by orientation and labels, in table order.
     groups: dict[tuple, list] = {}
     for ri, (s, (rcost, _)) in enumerate(right.items()):
         groups.setdefault(s[:head], []).append((ri, rcost, *split(s)))
-    within: dict[tuple, list] = {}
     trigger = PRUNE_TRIGGER
     for li, (ls, (lcost, _)) in enumerate(left.items()):
         if len(table) > trigger:
@@ -905,13 +915,12 @@ def _join_table(
         if group is None:
             continue
         zeros = key[m:].count(0)
-        budget = bound - lcost + zeros
-        if budget < bound:
-            group = within.get((key, budget))
-            if group is None:
-                group = within[key, budget] = [r for r in groups[key] if r[1] <= budget]
         l_tail, l_top, l_floor, l_hat, l_in, l1, l2 = split(ls)
         for ri, rcost, r_tail, r_top, r_floor, r_hat, r_in, r1, r2 in group:
+            # The bag's origins are paid for on both sides.
+            cost = lcost + rcost - zeros
+            if cost > bound:
+                continue
             # Each copy of an edge to a forgotten justifier counts once only.
             if l_in & r_in:
                 continue
@@ -926,7 +935,6 @@ def _join_table(
             ):
                 continue
             state = (*key, *map(max, l_tail, r_tail), hats, l_in | r_in, l1 | r1, l2 | r2 | (l1 & r1))
-            cost = lcost + rcost - zeros
             cur = table.get(state)
             if cur is None or cost < cur[0]:
                 table[state] = (cost, (li, ri))

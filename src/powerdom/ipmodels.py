@@ -53,9 +53,10 @@ class Constraint:
 class IpModel:
     """A binary minimization program.
 
-    variables holds every declared name in lexicographic order; objective
-    lists the variables summed with unit weight.  Constraints appear in
-    family order, then index order, which fixes the emitted file layout.
+    variables holds every name the objective and the rows use, in
+    lexicographic order; objective lists the variables summed with unit
+    weight.  Constraints appear in family order, then index order, which
+    fixes the emitted file layout.
     """
 
     variables: tuple[str, ...]
@@ -114,13 +115,8 @@ def build_ip_ell(g: Graph, ell: int, with_valid_ineqs: bool = False) -> IpModel:
             coeffs = [(_zname(t, v), 1) for v in range(n)]
             coeffs.extend((_zname(t - 1, v), -1) for v in range(n))
             cons.append(Constraint(f"(7)[t={t}]", tuple(coeffs), ">=", 1))
-    names = [_xname(v) for v in range(n)]
-    names.extend(_zname(t, v) for t in rounds for v in range(n))
-    names.extend(
-        _yname(t, u, v)
-        for u in range(n) for v in g.adjacency[u] for t in rounds
-    )
     objective = tuple(_xname(v) for v in range(n))
+    names = {name for row in cons for name, _ in row.coeffs}.union(objective)
     return IpModel(tuple(sorted(names)), objective, tuple(cons))
 
 
@@ -170,13 +166,8 @@ def build_ip_ordering(g: Graph, with_valid_ineq: bool = False) -> IpModel:
                 for u in range(n) for v in g.adjacency[u]
             ]
             cons.append(Constraint(f"(6)[t={t}]", tuple(coeffs), ">=", 1))
-    names = [_xname(v) for v in range(n)]
-    names.extend(_zname(t, v) for t in rounds for v in range(n))
-    names.extend(
-        _yname(t, u, v)
-        for u in range(n) for v in g.adjacency[u] for t in range(1, n)
-    )
     objective = tuple(_xname(v) for v in range(n))
+    names = {name for row in cons for name, _ in row.coeffs}.union(objective)
     return IpModel(tuple(sorted(names)), objective, tuple(cons))
 
 

@@ -93,9 +93,10 @@ def heuristic_td(g: Graph) -> TreeDecomposition:
     """Min-fill elimination ordering, ties to the smallest node id.
 
     Standard construction: eliminating v yields bag {v} + current neighbors,
-    which are then made a clique; the bag hangs off the bag of v's first
-    eliminated current neighbor.  Disconnected pieces are chained afterward
-    so the result is a single tree.  Fill counts live in a heap and are
+    which are then made a clique.  Once all are eliminated, each bag hangs
+    off the bag of the first of those neighbors to be eliminated, and the
+    bags with none, one per component, are chained to the first of them so
+    the result is a single tree.  Fill counts live in a heap and are
     recounted only where an elimination can change them.
     """
     if g.n == 0:
@@ -110,32 +111,22 @@ def heuristic_td(g: Graph) -> TreeDecomposition:
     heap = [(f, v) for v, f in enumerate(fills)]
     heapify(heap)
     bags: list[frozenset[int]] = []
-    edges: list[tuple[int, int]] = []
-    # waiters[u]: bags, in ascending index, hanging off u's bag if u is the
-    # first of their other nodes to be eliminated.
-    waiters: list[list[int]] = [[] for _ in range(g.n)]
-    linked = [False] * g.n
-    roots: list[int] = []
+    at = [0] * g.n  # the index of each node's bag
+    later: list[set[int]] = []  # per bag, its node's neighbors at elimination
     while nbrs:
         f, v = heappop(heap)
         if v not in nbrs or fills[v] != f:
             continue  # stale entry
         nv = nbrs.pop(v)
-        idx = len(bags)
+        at[v] = len(bags)
         bags.append(frozenset(nv | {v}))
-        if not nv:
-            roots.append(idx)
+        later.append(nv)
         added = [(a, b) for a in nv for b in nv if a < b and b not in nbrs[a]]
         for a in nv:
-            waiters[a].append(idx)
             nbrs[a].discard(v)
         for a, b in added:
             nbrs[a].add(b)
             nbrs[b].add(a)
-        for i in waiters[v]:
-            if not linked[i]:
-                linked[i] = True
-                edges.append((i, idx))
         # An added edge closes one missing pair of each node next to both of
         # its ends; only v's neighbors saw their own neighborhood change.
         for a, b in added:
@@ -150,9 +141,10 @@ def heuristic_td(g: Graph) -> TreeDecomposition:
             if f != fills[a]:
                 fills[a] = f
                 heappush(heap, (f, a))
-    assert len(edges) == len(bags) - len(roots), "every nonempty bag links to a later elimination"
-    for extra in roots[1:]:
-        edges.append((roots[0], extra))
+    links = sorted((min(at[a] for a in nv), i) for i, nv in enumerate(later) if nv)
+    edges = [(i, parent) for parent, i in links]
+    roots = [i for i, nv in enumerate(later) if not nv]
+    edges.extend((roots[0], extra) for extra in roots[1:])
     return TreeDecomposition(tuple(bags), tuple(edges))
 
 

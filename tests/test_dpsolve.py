@@ -1,6 +1,7 @@
 import random
 import sys
 from collections import Counter
+from dataclasses import replace
 from math import ceil, inf as INF
 
 import pytest
@@ -193,6 +194,45 @@ def test_decomposition_not_in_nice_form_is_refused(monkeypatch):
         assert validate_td(g, ntd.to_td()) is None
         with pytest.raises(ValueError, match=where):
             solve_dp(g, {0, 1}, 1, ntd)
+
+
+@pytest.mark.usefixtures("dp_tables")
+def test_decomposition_breaking_a_nice_rule_is_refused(monkeypatch):
+    # In the nice form of a 9-node path's path decomposition, the insert
+    # above the first leaf takes the bag of the insert above it, so it adds
+    # two nodes at once; the bags still form a valid tree.
+    g = path_graph(9)
+    bags = tuple(frozenset({i, i + 1}) for i in range(8))
+    ntd = to_nice(TreeDecomposition(bags, tuple((i, i + 1) for i in range(7))))
+    assert solve_dp(g, range(9), 1, ntd)[0] == 3
+    nodes = list(ntd.nodes)
+    leaf = next(i for i, nd in enumerate(nodes) if nd.kind == "leaf")
+    low = next(i for i, nd in enumerate(nodes) if nd.children == (leaf,))
+    high = next(i for i, nd in enumerate(nodes) if nd.children == (low,))
+    nodes[low] = replace(nodes[low], bag=nodes[high].bag)
+    bad = NiceTreeDecomposition(tuple(nodes), ntd.root)
+    assert validate_td(g, bad.to_td()) is None
+    with pytest.raises(ValueError, match=f"nice node {low} is an insert"):
+        solve_dp(g, range(9), 1, bad)
+    # Every other kind, and every other node inserted or forgotten, breaks
+    # the rule of each nice node of a decomposition with a join, and is
+    # refused before any table.
+    monkeypatch.setattr(dpsolve, "_tables", None)
+    g = path_graph(3)
+    ntd = to_nice(TreeDecomposition(
+        (frozenset({1}), frozenset({0, 1}), frozenset({1, 2})), ((0, 1), (0, 2))))
+    assert "join" in {nd.kind for nd in ntd.nodes}
+    for i, nd in enumerate(ntd.nodes):
+        edits = [replace(nd, kind=kind)
+                 for kind in ("leaf", "insert", "forget", "join", "introduce") if kind != nd.kind]
+        if nd.node is not None:
+            edits.extend(replace(nd, node=v) for v in range(3) if v != nd.node)
+        for edit in edits:
+            nodes = list(ntd.nodes)
+            nodes[i] = edit
+            article = "an" if edit.kind == "insert" else "a"
+            with pytest.raises(ValueError, match=f"nice node {i} is {article} {edit.kind} "):
+                solve_dp(g, range(3), 1, NiceTreeDecomposition(tuple(nodes), ntd.root))
 
 
 def test_subset_search_matches_tables(request):
@@ -931,6 +971,70 @@ def test_packing_bound_and_sweep_are_sound(monkeypatch):
             certified += stats["upper_bound"] > 2
         assert got == opt and _observes_all(g, witness, targets, ell), case
     assert certified >= 20, certified
+
+
+def _reference_distances(g, s):
+    """BFS distances from s, for the nodes of its component."""
+    dist = {s: 0}
+    layer = [s]
+    while layer:
+        nxt = []
+        for u in layer:
+            for w in g.adjacency[u]:
+                if w not in dist:
+                    dist[w] = dist[u] + 1
+                    nxt.append(w)
+        layer = nxt
+    return dist
+
+
+def _reference_sweep(g, targets, ell, cap):
+    """The sweep from its definition, spreading by the naive oracle: the
+    targets component by component in order of their lowest id, each
+    component's from the deepest BFS layer below that id up, lowest id
+    first within a layer; each target still unobserved gets the candidate
+    within distance ell of it that observes it and the most targets, the
+    lowest id among equals; None once that takes more than cap."""
+    order, placed = [], set()
+    for s in range(g.n):
+        if s not in placed:
+            dist = _reference_distances(g, s)
+            placed |= dist.keys()
+            order += sorted(targets & dist.keys(), key=lambda t: (-dist[t], t))
+
+    def observed(s):
+        times = naive_times(g, s, ell)
+        return {v for v in targets if times[v] <= ell}
+
+    chosen: set[int] = set()
+    for t in order:
+        if t in observed(chosen):
+            continue
+        if len(chosen) == cap:
+            return None
+        near = _reference_distances(g, t)
+        gain = {v: len(observed(chosen | {v})) for v in _reference_origins(g)
+                if near.get(v, INF) <= ell and t in observed(chosen | {v})}
+        chosen.add(max(gain, key=lambda v: (gain[v], -v)))
+    return frozenset(chosen)
+
+
+def test_sweep_picks_match_reference():
+    cases = [(g, targets, ell) for _, g, targets, ell in _bound_cases()]
+    rng = random.Random(1729)
+    for n in range(20, 41, 5):
+        for g in (path_graph(n), spider(rng.randint(2, 5), n // 5),
+                  attach_paths(path_graph(n // 4), 3)):
+            g = relabelled(g, rng)
+            cases.extend((g, frozenset(range(g.n)), ell) for ell in (1, 2, 3, 5))
+    for g, targets, ell in cases:
+        want = _reference_sweep(g, targets, ell, g.n)
+        tmask = sum(1 << v for v in targets)
+        origins = _origins(g)
+        case = (g.edges, sorted(targets), ell)
+        assert _sweep(g, tmask, ell, origins, len(want)) == want, case
+        if want:
+            assert _sweep(g, tmask, ell, origins, len(want) - 1) is None, case
 
 
 def _certified(g, ell):
