@@ -40,7 +40,7 @@ from .ipmodels import (
 from .orientation import parse_orientation, validate
 from .planar import parse_levels, ptas_detailed, validate_levels
 from .propagation import INF, is_feasible, propagate
-from .treedecomp import emit_td, heuristic_td, parse_td, to_nice
+from .treedecomp import emit_td, heuristic_td, parse_td
 
 
 class CliError(Exception):
@@ -126,12 +126,12 @@ def _cmd_solve(args) -> int:
         assert solved is not None
         opt, witness = solved
     elif args.method == "dp":
-        ntd = None
+        td = None
         if args.td is not None:
             with _read(args.td) as text:
-                ntd = to_nice(parse_td(text))
+                td = parse_td(text)
         run_stats: dict = {}
-        opt, witness = solve_dp(g, targets, ell, ntd, stats=run_stats)
+        opt, witness = solve_dp(g, targets, ell, td, stats=run_stats)
         payload["state_table_sizes"] = run_stats.get("table_sizes", [])
         payload["lower_bound"] = run_stats.get("lower_bound")
         payload["upper_bound"] = run_stats.get("upper_bound")

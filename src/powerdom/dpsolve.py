@@ -89,7 +89,8 @@ from operator import itemgetter, le
 from powerdom.bruteforce import first_cover
 from powerdom.graphs import Graph, ball
 from powerdom.propagation import is_feasible, spread
-from powerdom.treedecomp import NiceTreeDecomposition, heuristic_td, to_nice, validate_td
+from powerdom.treedecomp import (NiceTreeDecomposition, TreeDecomposition, heuristic_td,
+                                 to_nice, validate_td)
 
 # Edge orientation codes, per sorted bag edge (u, v) with u < v.
 EDGE_NONE = 0
@@ -462,25 +463,21 @@ def solve_dp(
     g: Graph,
     targets,
     ell: int,
-    ntd: NiceTreeDecomposition | None = None,
+    td: TreeDecomposition | None = None,
     *,
     stats: dict | None = None,
 ) -> tuple[int, frozenset[int]]:
     """Minimum-size set observing every target within ell rounds, exactly.
 
-    ntd defaults to the nice form of a min-fill heuristic decomposition,
-    built only when tables are built.  A passed one is always validated
-    against g and must keep the nice form's rules, as to_nice builds it: a
-    leaf has no children and an empty bag, an insert or a forget has one
-    child whose bag its node is added to or taken from, a join has two
-    children with its own bag, and the root's bag is empty.  A nice node
-    breaking its rule is refused with a ValueError.  ell is clamped to n-1,
-    beyond which one more round can never help.  Returns (optimum, witness
-    set); the witness is the incumbent, the sweep's set or else the
-    greedy's, when nothing smaller exists.  When a dict is passed as stats
-    it receives the packing lower bound, the upper bound (the size of that
-    incumbent), the number of candidate origins and per-nice-node table
-    sizes, in post order, an empty list when no tables were built.  They are
+    td defaults to a min-fill heuristic decomposition.  A passed one is
+    always validated against g first, a misfit refused with a ValueError.
+    Either is built or put in nice form only when tables are built.  ell is
+    clamped to n-1, beyond which one more round can never help.  Returns
+    (optimum, witness set); the witness is the incumbent, the sweep's set
+    or else the greedy's, when nothing smaller exists.  A dict passed as
+    stats receives the packing lower bound, the upper bound (the size of
+    that incumbent), the number of candidate origins and per-nice-node
+    table sizes, in post order, an empty list when no tables were built,
     filled in after the solve, so passing stats changes none of its steps.
     """
     targets = frozenset(targets)
@@ -488,27 +485,11 @@ def solve_dp(
         raise ValueError("targets must be nodes of the graph")
     if ell < 1:
         raise ValueError("ell must be at least 1")
-    if not targets:
-        return (0, frozenset())
     ell = min(ell, max(1, g.n - 1))
-    if ntd is not None:
-        bad = validate_td(g, ntd.to_td())
+    if td is not None:
+        bad = validate_td(g, td)
         if bad is not None:
             raise ValueError(f"decomposition does not fit the graph: {bad}")
-        for i, nd in enumerate(ntd.nodes):
-            kids = [ntd.nodes[c].bag for c in nd.children]
-            x = {nd.node}
-            ok = {
-                "leaf": not kids and not nd.bag,
-                "insert": kids == [nd.bag - x] and x <= nd.bag,
-                "forget": kids == [nd.bag | x] and not x & nd.bag,
-                "join": kids == [nd.bag, nd.bag],
-            }.get(nd.kind)
-            if not ok:
-                raise ValueError(f"nice node {i} is {'an' if nd.kind == 'insert' else 'a'} "
-                                 f"{nd.kind} that breaks its rule")
-            if i == ntd.root and nd.bag:
-                raise ValueError(f"nice node {i} is a root with a nonempty bag")
 
     tmask = 0
     for v in targets:
@@ -554,8 +535,7 @@ def solve_dp(
                 break
             opt, witness = size, found
     else:
-        if ntd is None:
-            ntd = to_nice(heuristic_td(g))
+        ntd = to_nice(td or heuristic_td(g))
         eb = _label_bounds(g, ell, origins, targets)
         # Each table is replaced by its back-references once built; the
         # states live on only until the parent's table is done.

@@ -158,7 +158,7 @@ def parse_graph(text: str) -> Graph:
     """
     n = None
     declared_m = None
-    edges: list[tuple[int, int]] = []
+    edges: set[tuple[int, int]] = set()
     for lineno, parts in records(text):
         kind = parts[0]
         if kind == "e":
@@ -170,7 +170,10 @@ def parse_graph(text: str) -> Graph:
             v = parse_id(parts[2], n, lineno)
             if u == v:
                 raise GraphFormatError("self-loop", lineno)
-            edges.append((u, v))
+            e = (u, v) if u < v else (v, u)
+            if e in edges:
+                raise GraphFormatError("duplicate edge", lineno)
+            edges.add(e)
         elif kind == "p":
             if n is not None:
                 raise GraphFormatError("duplicate problem line", lineno)
@@ -193,10 +196,7 @@ def parse_graph(text: str) -> Graph:
         raise GraphFormatError(
             f"problem line declares {declared_m} edges but file has {len(edges)}"
         )
-    try:
-        return Graph(n, edges)
-    except ValueError as exc:
-        raise GraphFormatError(str(exc)) from None
+    return Graph(n, edges)
 
 
 def emit_graph(

@@ -69,6 +69,23 @@ def _closed_without(g: Graph, u: int, v: int) -> list[int]:
     return sorted(w for w in set(g.adjacency[u]) | {u} if w != v)
 
 
+def _family4(g: Graph, last: int) -> Iterable[Constraint]:
+    """Family (4) of both models, over rounds 2..last."""
+    for v in range(g.n):
+        for t in range(2, last + 1):
+            coeffs = [(_zname(t, v), 1)]
+            coeffs.extend((_yname(t - 1, u, v), -1) for u in g.adjacency[v])
+            coeffs.append((_xname(v), -1))
+            yield Constraint(f"(4)[v={v + 1},t={t}]", tuple(coeffs), "<=", 0)
+
+
+def _model(n: int, cons: list[Constraint]) -> IpModel:
+    """The model minimizing the number of origins of n nodes under cons."""
+    objective = tuple(_xname(v) for v in range(n))
+    names = {name for row in cons for name, _ in row.coeffs}.union(objective)
+    return IpModel(tuple(sorted(names)), objective, tuple(cons))
+
+
 def build_ip_ell(g: Graph, ell: int, with_valid_ineqs: bool = False) -> IpModel:
     """Round-indexed program over rounds 1..ell.
 
@@ -100,12 +117,7 @@ def build_ip_ell(g: Graph, ell: int, with_valid_ineqs: bool = False) -> IpModel:
                         ((_yname(t, u, v), 1), (_zname(t, w), -1)),
                         "<=", 0,
                     ))
-    for v in range(n):
-        for t in range(2, ell + 1):
-            coeffs = [(_zname(t, v), 1)]
-            coeffs.extend((_yname(t - 1, u, v), -1) for u in g.adjacency[v])
-            coeffs.append((_xname(v), -1))
-            cons.append(Constraint(f"(4)[v={v + 1},t={t}]", tuple(coeffs), "<=", 0))
+    cons.extend(_family4(g, ell))
     if with_valid_ineqs and n > 0:
         delta = min(g.degree(v) for v in range(n))
         cons.append(Constraint(
@@ -115,9 +127,7 @@ def build_ip_ell(g: Graph, ell: int, with_valid_ineqs: bool = False) -> IpModel:
             coeffs = [(_zname(t, v), 1) for v in range(n)]
             coeffs.extend((_zname(t - 1, v), -1) for v in range(n))
             cons.append(Constraint(f"(7)[t={t}]", tuple(coeffs), ">=", 1))
-    objective = tuple(_xname(v) for v in range(n))
-    names = {name for row in cons for name, _ in row.coeffs}.union(objective)
-    return IpModel(tuple(sorted(names)), objective, tuple(cons))
+    return _model(n, cons)
 
 
 def build_ip_ordering(g: Graph, with_valid_ineq: bool = False) -> IpModel:
@@ -153,12 +163,7 @@ def build_ip_ordering(g: Graph, with_valid_ineq: bool = False) -> IpModel:
                         f"(3)[u={u + 1},v={v + 1},w={w + 1},t={t}]",
                         tuple(coeffs), "<=", 0,
                     ))
-    for v in range(n):
-        for t in range(2, n + 1):
-            coeffs = [(_zname(t, v), 1)]
-            coeffs.extend((_yname(t - 1, u, v), -1) for u in g.adjacency[v])
-            coeffs.append((_xname(v), -1))
-            cons.append(Constraint(f"(4)[v={v + 1},t={t}]", tuple(coeffs), "<=", 0))
+    cons.extend(_family4(g, n))
     if with_valid_ineq:
         for t in range(1, n):
             coeffs = [
@@ -166,9 +171,7 @@ def build_ip_ordering(g: Graph, with_valid_ineq: bool = False) -> IpModel:
                 for u in range(n) for v in g.adjacency[u]
             ]
             cons.append(Constraint(f"(6)[t={t}]", tuple(coeffs), ">=", 1))
-    objective = tuple(_xname(v) for v in range(n))
-    names = {name for row in cons for name, _ in row.coeffs}.union(objective)
-    return IpModel(tuple(sorted(names)), objective, tuple(cons))
+    return _model(n, cons)
 
 
 def canonical_assignment(

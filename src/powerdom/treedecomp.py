@@ -169,12 +169,6 @@ class NiceTreeDecomposition:
     def width(self) -> int:
         return max(len(nd.bag) for nd in self.nodes) - 1
 
-    def to_td(self) -> TreeDecomposition:
-        edges = tuple(
-            (i, c) for i, nd in enumerate(self.nodes) for c in nd.children
-        )
-        return TreeDecomposition(tuple(nd.bag for nd in self.nodes), edges)
-
 
 def to_nice(td: TreeDecomposition) -> NiceTreeDecomposition:
     """Root at bag 0 and normalize to the textbook nice form (Cygan et al.,

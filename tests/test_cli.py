@@ -7,7 +7,7 @@ from powerdom import cli
 from powerdom.cli import main
 from powerdom.graphs import parse_graph
 from powerdom.propagation import is_feasible
-from powerdom.treedecomp import parse_td, validate_td
+from powerdom.treedecomp import parse_td, to_nice, validate_td
 
 P3 = "p edge 3 2\ne 1 2\ne 2 3\n"
 K2 = "p edge 2 1\ne 1 2\n"
@@ -217,6 +217,37 @@ def test_certified_dp_output_is_deterministic(tmp_path, capsys):
     payload = json.loads(out)
     assert payload["lower_bound"] == payload["opt"] == payload["upper_bound"] == 15
     assert payload["state_table_sizes"] == []
+
+
+def test_dp_with_a_decomposition_file(tmp_path, capsys):
+    # A pendant cycle on 20 builds tables at ell=2: one size per nice node
+    # of the passed decomposition, and the same answer as without it.
+    graph, td = tmp_path / "pc.gr", tmp_path / "pc.td"
+    graph.write_text(run(capsys, "gen", "pendant-cycle", "20")[1])
+    td.write_text(run(capsys, "td", str(graph))[1])
+    payloads = []
+    for extra in ((), ("--td", str(td))):
+        code, out, _ = run(capsys, "solve", "--ell", "2", "--method", "dp", "--json",
+                           *extra, str(graph))
+        assert code == 0
+        payloads.append(json.loads(out))
+    plain, given = payloads
+    assert (given["opt"], given["witness"]) == (plain["opt"], plain["witness"])
+    assert len(given["state_table_sizes"]) == len(to_nice(parse_td(td.read_text())).nodes)
+
+
+def test_dp_refuses_a_decomposition_that_does_not_fit(tmp_path, capsys):
+    # Bags that miss node 3 are refused before anything is solved, with
+    # targets to observe or with none.
+    graph, td, empty = tmp_path / "p3.gr", tmp_path / "short.td", tmp_path / "none.txt"
+    graph.write_text(P3)
+    td.write_text("s td 1 2 3\nb 1 1 2\n")
+    empty.write_text("")
+    for targets in ("all", str(empty)):
+        code, out, err = run(capsys, "solve", "--ell", "1", "--method", "dp",
+                             "--td", str(td), "--targets", targets, str(graph))
+        assert code == 2 and out == ""
+        assert "does not fit the graph" in err
 
 
 def test_oversized_node_count_is_refused(tmp_path, capsys):

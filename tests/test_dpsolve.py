@@ -1,7 +1,6 @@
 import random
 import sys
 from collections import Counter
-from dataclasses import replace
 from math import ceil, inf as INF
 
 import pytest
@@ -43,8 +42,6 @@ from powerdom.generators import attach_paths, pendant_cycle, spider
 from powerdom.graphs import Graph
 from powerdom.propagation import is_feasible
 from powerdom.treedecomp import (
-    NiceNode,
-    NiceTreeDecomposition,
     TreeDecomposition,
     heuristic_td,
     to_nice,
@@ -72,13 +69,21 @@ def test_basic_inputs_rejected():
     with pytest.raises(ValueError):
         solve_dp(g, {0}, 0)
     # A decomposition of some other graph is refused.
-    wrong = to_nice(heuristic_td(cycle_graph(4)))
+    wrong = heuristic_td(cycle_graph(4))
     with pytest.raises(ValueError):
         solve_dp(g, {0}, 1, wrong)
 
 
 def test_empty_targets():
-    assert solve_dp(path_graph(3), set(), 2) == (0, frozenset())
+    # The general path settles no targets at ub = 0, fills every stats key
+    # and still checks a passed decomposition.
+    for n, origins in ((0, 0), (3, 1), (4, 2)):
+        stats: dict = {}
+        assert solve_dp(path_graph(n), set(), 2, stats=stats) == (0, frozenset())
+        assert stats == {"lower_bound": 0, "upper_bound": 0, "origins": origins,
+                         "table_sizes": []}
+    with pytest.raises(ValueError, match="does not fit the graph"):
+        solve_dp(path_graph(3), set(), 2, heuristic_td(cycle_graph(4)))
 
 
 @pytest.mark.usefixtures("dp_tables")
@@ -96,7 +101,7 @@ def test_timing_leak_regression():
     )
     td = TreeDecomposition(bags, ((0, 1), (1, 2), (1, 3), (3, 4), (4, 5)))
     bf = solve_bf(g, {1, 6}, 3)
-    dp = solve_dp(g, {1, 6}, 3, to_nice(td))
+    dp = solve_dp(g, {1, 6}, 3, td)
     assert dp[0] == bf[0] == 2
 
 
@@ -172,67 +177,6 @@ def test_stats_observe_the_solve_without_steering_it(monkeypatch):
         assert runs[0] == runs[1], (m, ell)
         searched += calls["first_cover"] > 0
     assert searched == 15
-
-
-def test_decomposition_not_in_nice_form_is_refused(monkeypatch):
-    # Leaves and the root must have empty bags, and the table builder is
-    # never reached: a leaf {0}, an insert of 1 and the root bag {0, 1}; then
-    # an empty leaf grown to the same root.
-    monkeypatch.setattr(dpsolve, "_tables", None)
-    g = path_graph(2)
-    full_leaf = (
-        NiceNode("leaf", frozenset({0}), ()),
-        NiceNode("insert", frozenset({0, 1}), (0,), 1),
-    )
-    full_root = (
-        NiceNode("leaf", frozenset(), ()),
-        NiceNode("insert", frozenset({0}), (0,), 0),
-        NiceNode("insert", frozenset({0, 1}), (1,), 1),
-    )
-    for ntd, where in ((NiceTreeDecomposition(full_leaf, 1), "nice node 0 is a leaf"),
-                       (NiceTreeDecomposition(full_root, 2), "nice node 2 is a root")):
-        assert validate_td(g, ntd.to_td()) is None
-        with pytest.raises(ValueError, match=where):
-            solve_dp(g, {0, 1}, 1, ntd)
-
-
-@pytest.mark.usefixtures("dp_tables")
-def test_decomposition_breaking_a_nice_rule_is_refused(monkeypatch):
-    # In the nice form of a 9-node path's path decomposition, the insert
-    # above the first leaf takes the bag of the insert above it, so it adds
-    # two nodes at once; the bags still form a valid tree.
-    g = path_graph(9)
-    bags = tuple(frozenset({i, i + 1}) for i in range(8))
-    ntd = to_nice(TreeDecomposition(bags, tuple((i, i + 1) for i in range(7))))
-    assert solve_dp(g, range(9), 1, ntd)[0] == 3
-    nodes = list(ntd.nodes)
-    leaf = next(i for i, nd in enumerate(nodes) if nd.kind == "leaf")
-    low = next(i for i, nd in enumerate(nodes) if nd.children == (leaf,))
-    high = next(i for i, nd in enumerate(nodes) if nd.children == (low,))
-    nodes[low] = replace(nodes[low], bag=nodes[high].bag)
-    bad = NiceTreeDecomposition(tuple(nodes), ntd.root)
-    assert validate_td(g, bad.to_td()) is None
-    with pytest.raises(ValueError, match=f"nice node {low} is an insert"):
-        solve_dp(g, range(9), 1, bad)
-    # Every other kind, and every other node inserted or forgotten, breaks
-    # the rule of each nice node of a decomposition with a join, and is
-    # refused before any table.
-    monkeypatch.setattr(dpsolve, "_tables", None)
-    g = path_graph(3)
-    ntd = to_nice(TreeDecomposition(
-        (frozenset({1}), frozenset({0, 1}), frozenset({1, 2})), ((0, 1), (0, 2))))
-    assert "join" in {nd.kind for nd in ntd.nodes}
-    for i, nd in enumerate(ntd.nodes):
-        edits = [replace(nd, kind=kind)
-                 for kind in ("leaf", "insert", "forget", "join", "introduce") if kind != nd.kind]
-        if nd.node is not None:
-            edits.extend(replace(nd, node=v) for v in range(3) if v != nd.node)
-        for edit in edits:
-            nodes = list(ntd.nodes)
-            nodes[i] = edit
-            article = "an" if edit.kind == "insert" else "a"
-            with pytest.raises(ValueError, match=f"nice node {i} is {article} {edit.kind} "):
-                solve_dp(g, range(3), 1, NiceTreeDecomposition(tuple(nodes), ntd.root))
 
 
 def test_subset_search_matches_tables(request):
@@ -366,13 +310,13 @@ def test_explicit_decomposition_paths():
     g = star_graph(5)
     bags = tuple(frozenset({0, i}) for i in range(1, 5))
     td = TreeDecomposition(bags, ((0, 1), (0, 2), (0, 3)))
-    assert solve_dp(g, range(g.n), 1, to_nice(td))[0] == 1
+    assert solve_dp(g, range(g.n), 1, td)[0] == 1
     g2 = path_graph(6)
     bags2 = tuple(frozenset({i, i + 1}) for i in range(5))
     td2 = TreeDecomposition(bags2, tuple((i, i + 1) for i in range(4)))
     for ell in (1, 2):
         assert (
-            solve_dp(g2, range(6), ell, to_nice(td2))[0]
+            solve_dp(g2, range(6), ell, td2)[0]
             == solve_bf(g2, range(6), ell)[0]
         )
 
@@ -501,17 +445,18 @@ def _root_optimum(g, targets, ell, ntd, bound):
     return cost
 
 
-def _check_against_bruteforce(g, targets, ell, ntd) -> str:
+def _check_against_bruteforce(g, targets, ell, td) -> str:
     """Check solve_dp against solve_bf, and the tables on their own: built
     at bound opt they reach opt exactly, at opt - 1 nothing.  opt = 1 is
     left to the greedy, which tries every lone origin.  Returns how the
     solve ended."""
     stats: dict = {}
-    opt, witness = solve_dp(g, targets, ell, ntd, stats=stats)
-    case = (g.edges, ntd.to_td(), sorted(targets), ell)
+    opt, witness = solve_dp(g, targets, ell, td, stats=stats)
+    case = (g.edges, td, sorted(targets), ell)
     assert opt == solve_bf(g, targets, ell)[0], case
     assert len(witness) == opt and is_feasible(g, witness, targets, ell), case
     if opt >= 2:
+        ntd = to_nice(td)
         assert _root_optimum(g, targets, ell, ntd, opt) == opt, case
         assert _root_optimum(g, targets, ell, ntd, opt - 1) is None, case
     ub = stats.get("upper_bound", 0)
@@ -529,21 +474,19 @@ def test_matches_bruteforce_on_random_decompositions():
         g = random_graph(rng, n, rng.uniform(0.25, 0.7))
         td = random_decomposition(rng, g)
         assert validate_td(g, td) is None
-        ntd = to_nice(td)
-        kinds.update(nd.kind for nd in ntd.nodes)
+        kinds.update(nd.kind for nd in to_nice(td).nodes)
         ell = rng.randint(1, min(4, n - 1))
         targets = frozenset(v for v in range(n) if rng.random() < 0.7)
-        outcomes[_check_against_bruteforce(g, targets, ell, ntd)] += 1
+        outcomes[_check_against_bruteforce(g, targets, ell, td)] += 1
     # Random graphs this small rarely fool the greedy; spiders and the 4x4
     # grid do.
     for legs in (2, 3, 4):
         for length, ell in ((2, 1), (3, 2)):
             g = relabelled(spider(legs, length), rng)
-            ntd = to_nice(random_decomposition(rng, g))
-            outcomes[_check_against_bruteforce(g, frozenset(range(g.n)), ell, ntd)] += 1
+            td = random_decomposition(rng, g)
+            outcomes[_check_against_bruteforce(g, frozenset(range(g.n)), ell, td)] += 1
     g = grid_graph(4, 4)
-    ntd = to_nice(heuristic_td(g))
-    outcomes[_check_against_bruteforce(g, frozenset(range(g.n)), 1, ntd)] += 1
+    outcomes[_check_against_bruteforce(g, frozenset(range(g.n)), 1, heuristic_td(g))] += 1
     assert kinds == {"leaf", "insert", "forget", "join"}
     assert all(outcomes.values()), outcomes
 

@@ -64,6 +64,8 @@ def test_parse_errors_carry_line_numbers():
         ("p edge 2 1\nq 1 2\n", 2),
         ("p edge 2 2\ne 1 2\n", None),
         ("", None),
+        # A duplicate edge is refused on its own line, like a self-loop.
+        ("p edge 2 2\ne 1 2\ne 2 1\n", 3),
     ):
         with pytest.raises(GraphFormatError) as exc:
             parse_graph(text)

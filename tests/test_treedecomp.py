@@ -207,7 +207,8 @@ def test_to_nice_invariants():
         g = random_connected_graph(rng, rng.randint(1, 8), 0.45)
         td = heuristic_td(g)
         ntd = to_nice(td)
-        assert validate_td(g, ntd.to_td()) is None
+        edges = tuple((i, c) for i, nd in enumerate(ntd.nodes) for c in nd.children)
+        assert validate_td(g, TreeDecomposition(tuple(nd.bag for nd in ntd.nodes), edges)) is None
         assert_nice_form(td, ntd)
     # Forty leaf bags holding all of K10 below one more: each leaf grows by
     # ten inserts, far more nice nodes than graph nodes and bags together.
