@@ -11,6 +11,27 @@ from powerdom.propagation import spread
 # Largest graph either exhaustive search takes on without force=True.
 NODE_LIMIT = 24
 
+# A spread costs first_cover's budget this many full-size sets more than a
+# set the distance cut turns down unspread.
+SPREAD_COST = 30
+
+
+class Budget:
+    """The work first_cover calls may still do, shared between them: left,
+    counted in full-size sets the walk reaches plus SPREAD_COST per spread,
+    and sets, the full-size sets reached so far."""
+
+    __slots__ = ("left", "sets")
+
+    def __init__(self, left: int):
+        self.left = left
+        self.sets = 0
+
+
+class BudgetSpent(Exception):
+    """first_cover ran out of budget before its walk ended, so it knows
+    nothing of the sets it did not reach."""
+
 
 def _covers(closed: tuple[int, ...], sources: Iterable[int], tmask: int, ell: int) -> bool:
     first = 0
@@ -20,11 +41,18 @@ def _covers(closed: tuple[int, ...], sources: Iterable[int], tmask: int, ell: in
 
 
 def first_cover(
-    closed: tuple[int, ...], size: int, tmask: int, ell: int, nodes: Iterable[int] | None = None
+    closed: tuple[int, ...],
+    size: int,
+    tmask: int,
+    ell: int,
+    nodes: Iterable[int] | None = None,
+    budget: Budget | None = None,
 ) -> frozenset[int] | None:
     """First set of size nodes from nodes (default: every node), in
     lexicographic order, observing every node of tmask within ell rounds,
-    or None when no such set exists.
+    or None when no such set exists.  With a budget, raises BudgetSpent
+    once the walk has cost more than budget.left, at once if that is
+    negative; either way the budget is charged what the walk cost.
 
     Round 1 observes the origins' closed neighborhoods, and each later
     round observes only neighbors of nodes already observed, so a target
@@ -37,6 +65,13 @@ def first_cover(
     spread.  The cut drops only sets that cannot work, so the set returned
     is the one a plain walk over every set would return.
     """
+    if size == 0:
+        return None if tmask else frozenset()
+    if budget is None:
+        budget = Budget(1 << 62)
+    allowance = budget.left
+    if allowance < 0:
+        raise BudgetSpent
     pool = tuple(range(len(closed)) if nodes is None else nodes)
     m = len(pool)
     balls = [ball(closed, 1 << v, ell) & tmask for v in pool]
@@ -47,24 +82,45 @@ def first_cover(
     # Position d of the current set is pool[chosen[d]]; first[d] and hit[d]
     # are the closed neighborhoods and the balls of its first d nodes.
     chosen = [0] * size
-    first = [0] * (size + 1)
-    hit = [0] * (size + 1)
+    first = [0] * size
+    hit = [0] * size
+    last = size - 1
+    sets = spreads = 0
     d = i = 0
-    while d >= 0:
-        if d == size:
-            if hit[d] == tmask and spread(closed, first[d], ell, stop=tmask) & tmask == tmask:
-                return frozenset(pool[j] for j in chosen)
-        elif i <= m - size + d and hit[d] | reach[i] == tmask:
-            chosen[d] = i
-            first[d + 1] = first[d] | closed[pool[i]]
-            hit[d + 1] = hit[d] | balls[i]
-            d += 1
-            i += 1
-            continue
-        d -= 1
-        if d >= 0:
-            i = chosen[d] + 1
-    return None
+    try:
+        while d >= 0:
+            if d == last:
+                # Each pool[j] that keeps the reach closes a full set; the
+                # loop is charged once it ends.
+                h, f = hit[d], first[d]
+                for j in range(i, m):
+                    if h | reach[j] != tmask:
+                        break
+                    if h | balls[j] == tmask:
+                        spreads += 1
+                        if spread(closed, f | closed[pool[j]], ell, stop=tmask) & tmask == tmask:
+                            chosen[d] = j
+                            sets += j - i + 1
+                            return frozenset(pool[k] for k in chosen)
+                else:
+                    j = m
+                sets += j - i
+                if sets + SPREAD_COST * spreads > allowance:
+                    raise BudgetSpent
+            elif i <= m - size + d and hit[d] | reach[i] == tmask:
+                chosen[d] = i
+                first[d + 1] = first[d] | closed[pool[i]]
+                hit[d + 1] = hit[d] | balls[i]
+                d += 1
+                i += 1
+                continue
+            d -= 1
+            if d >= 0:
+                i = chosen[d] + 1
+        return None
+    finally:
+        budget.left = allowance - sets - SPREAD_COST * spreads
+        budget.sets += sets
 
 
 def solve_bf(

@@ -136,6 +136,7 @@ def _cmd_solve(args) -> int:
         payload["lower_bound"] = run_stats.get("lower_bound")
         payload["upper_bound"] = run_stats.get("upper_bound")
         payload["origins"] = run_stats.get("origins")
+        payload["search_sets"] = run_stats.get("search_sets")
     else:
         if args.eps is None:
             raise CliError("--eps is required with --method ptas")

@@ -28,22 +28,24 @@ forgotten node is still hatted.
 
 Tables are built only when they can pay.  solve_dp first holds a feasible
 set of size ub, the greedy one.  At ub <= 2 that set is optimal.  Above
-that, when no size from 2 to ub - 1 has more than SUBSET_LIMIT sets, it
-tries them outright, sizes downward from ub - 1, keeping the
-lexicographically first set of each size that observes every target.
-Spreading is monotone in the origin set, so once no set of some size works,
-none of a smaller size does, and the last size that worked is optimal.  The
-limit bounds the largest size rather than all of them together: a size above
-the optimum ends at an early set that works.  A sum over the sizes would grow
-with every size below ub, and ub follows the greedy's tie-breaks, so
-relabellings of one graph would take different paths at very different
-costs.  The size below the optimum has no set that works, and the search
-cuts it by distance (see bruteforce.first_cover): a target observed within
-ell rounds lies within distance ell of an origin, so a set is spread only
-when the targets within distance ell of its nodes are all of them, and a
-branch of the walk is cut as soon as its nodes and every later node in the
-order together leave a target out of reach.  The cut drops only sets that
-cannot work, so each size keeps the same first set.
+that it tries the sets below ub outright, sizes downward from ub - 1,
+keeping the lexicographically first set of each size that observes every
+target.  Spreading is monotone in the origin set, so once no set of some
+size works, none of a smaller size does, and the last size that worked is
+optimal; a set of size lb, the lower bound below, is optimal too and ends
+the search.  A size above the optimum ends at an early set that works.
+The size below it has no set that works, and the search cuts it by
+distance (see bruteforce.first_cover): a target observed within ell
+rounds lies within distance ell of an origin, so a set is spread only when
+the targets within distance ell of its nodes are all of them, and a branch
+of the walk is cut as soon as its nodes and every later node in the order
+together leave a target out of reach.  The cut drops only sets that cannot
+work, so each size keeps the same first set.  How many sets the cut leaves
+is not known before the walk, and a count of all the sets predicts it
+badly, so the search runs on a budget, SEARCH_BUDGET, shared by its sizes
+and counted in the full-size sets the walk reaches, each spread charged
+more.  Only when the budget runs out are the tables built, keeping states
+below the smallest set found so far.
 
 The same distance argument gives a lower bound.  Targets pairwise more than
 2 * ell apart each need an origin of their own, so a packing of them, taken
@@ -57,10 +59,10 @@ that observes it and the most targets.  One always exists, the target
 itself or the candidate whose closed neighborhood contains the target's.
 The sweep gives up once it holds lb nodes and targets remain.  The greedy
 builds its set pick by pick and pauses for the bound and the sweep only
-once its picks rule out both ub <= 2 and the subset search; a sweep set of
-size lb is optimal and is returned without search or tables, and otherwise
-the greedy resumes, its set being optimal too if it ends at lb.  So solves
-settled at ub <= 2 or by the search do exactly the work they did before.
+once its picks outnumber what the search budget could try, more sets of
+that many candidates than SEARCH_BUDGET; a sweep set of size lb is
+optimal and is returned without search or tables, and otherwise the
+greedy resumes, its set being optimal too if it ends at lb.
 
 Only some nodes are offered as origins.  An origin's one effect is to
 observe its closed neighborhood in round 1, and every later round depends
@@ -86,7 +88,7 @@ from __future__ import annotations
 from math import comb, inf as INF
 from operator import itemgetter, le
 
-from powerdom.bruteforce import first_cover
+from powerdom.bruteforce import Budget, BudgetSpent, first_cover
 from powerdom.graphs import Graph, ball
 from powerdom.propagation import is_feasible, spread
 from powerdom.treedecomp import (NiceTreeDecomposition, TreeDecomposition, heuristic_td,
@@ -102,9 +104,10 @@ EDGE_REV = 2  # v -> u
 UNOBSERVED = 1 << 30
 NO_CAP = UNOBSERVED
 
-# solve_dp tries every set below the greedy bound, instead of building
-# tables, when no size has more than this many.
-SUBSET_LIMIT = 20_000
+# The work solve_dp's subset search may do before it builds tables, in
+# full-size sets reached (see bruteforce.first_cover); the greedy pauses for
+# the packing bound once it has more picks than this many sets of them.
+SEARCH_BUDGET = 50_000
 
 
 class BagContext:
@@ -453,12 +456,6 @@ def _label_bounds(g: Graph, ell: int, origins: int, targets: frozenset[int]) -> 
     return [lone[v] if alone >> v & 1 else int(min(second[v], ell)) for v in range(g.n)]
 
 
-def _searchable(nc: int, size: int) -> bool:
-    """Whether no size up to size has more than SUBSET_LIMIT sets of nc
-    candidates for the subset search to try; their count peaks at nc // 2."""
-    return comb(nc, min(size, nc // 2)) <= SUBSET_LIMIT
-
-
 def solve_dp(
     g: Graph,
     targets,
@@ -476,9 +473,10 @@ def solve_dp(
     (optimum, witness set); the witness is the incumbent, the sweep's set
     or else the greedy's, when nothing smaller exists.  A dict passed as
     stats receives the packing lower bound, the upper bound (the size of
-    that incumbent), the number of candidate origins and per-nice-node
-    table sizes, in post order, an empty list when no tables were built,
-    filled in after the solve, so passing stats changes none of its steps.
+    that incumbent), the number of candidate origins, the full-size sets
+    the subset search reached over all its sizes, and per-nice-node table
+    sizes, in post order, an empty list when no tables were built, filled
+    in after the solve, so passing stats changes none of its steps.
     """
     targets = frozenset(targets)
     if not targets <= frozenset(range(g.n)):
@@ -494,9 +492,9 @@ def solve_dp(
     tmask = 0
     for v in targets:
         tmask |= 1 << v
-    # The greedy pauses once its picks rule out both ub <= 2 and the subset
-    # search; then the packing bound lb and the sweep capped at it run, and
-    # a sweep set of size lb is optimal.
+    # The greedy pauses once the budget holds fewer sets than its picks
+    # make of the candidates; then the packing bound lb and the sweep capped
+    # at it run, and a sweep set of size lb is optimal.
     picks: list[int] = []
     origins = lb = swept = None
     for v, done in _greedy_picks(g, tmask, ell):
@@ -505,8 +503,9 @@ def solve_dp(
             continue
         if origins is None:
             origins = _origins(g)
-        if not _searchable(origins.bit_count(), len(picks)):
-            # The search can no longer settle the greedy's set.
+        nc = origins.bit_count()
+        if comb(nc, min(len(picks), nc // 2)) > SEARCH_BUDGET:
+            # The search is unlikely to settle the greedy's set.
             lb = _packing_bound(g, tmask, ell)
             swept = _sweep(g, tmask, ell, origins, lb)
             if swept is not None:
@@ -519,32 +518,35 @@ def solve_dp(
     cands = [v for v in range(g.n) if origins >> v & 1]
     sizes: list[int] = []
     opt = ub
+    budget = Budget(SEARCH_BUDGET)
     # The incumbent is optimal at ub <= 2, since a lone origin observing
     # every target would be the greedy's first pick, and at ub == lb.
-    # Otherwise, when the search may try every size below ub, the sets are
-    # tried outright, the largest first, and none larger than the number of
-    # candidates, since all of them observe every node in round 1.
-    # Otherwise the tables search only below ub, since a state's cost never
-    # falls towards the root.
-    if ub <= 2 or ub == lb:
-        pass  # the incumbent is optimal
-    elif _searchable(len(cands), ub - 1):
-        for size in range(min(ub - 1, len(cands)), 1, -1):
-            found = first_cover(g.closed_masks(), size, tmask, ell, cands)
-            if found is None:
-                break
-            opt, witness = size, found
-    else:
+    # Otherwise the sets are tried outright, the largest first, none larger
+    # than the number of candidates, since all of them observe every node
+    # in round 1, and none smaller than lb, and the tables are built only
+    # when the search runs out of budget.  They search only below the
+    # smallest set found, since a state's cost never falls towards the root.
+    spent = False
+    if ub > 2 and ub != lb:
+        try:
+            for size in range(min(ub - 1, len(cands)), max(lb or 0, 2) - 1, -1):
+                found = first_cover(g.closed_masks(), size, tmask, ell, cands, budget)
+                if found is None:
+                    break
+                opt, witness = size, found
+        except BudgetSpent:
+            spent = True
+    if spent:
         ntd = to_nice(td or heuristic_td(g))
         eb = _label_bounds(g, ell, origins, targets)
         # Each table is replaced by its back-references once built; the
         # states live on only until the parent's table is done.
         backs: list[list | None] = [None] * len(ntd.nodes)
-        for i, table, _ in _tables(g, ntd, targets, ub - 1, eb, origins):
+        for i, table, _ in _tables(g, ntd, targets, opt - 1, eb, origins):
             backs[i] = [back for _, back in table.values()]
             sizes.append(len(table))
         # The root's bag is empty, so its table holds the one empty state
-        # unless nothing fits below ub.
+        # unless nothing fits below opt.
         if table:
             [(opt, _)] = table.values()
             witness = frozenset(_reconstruct(ntd, backs))
@@ -556,6 +558,7 @@ def solve_dp(
         stats["upper_bound"] = ub
         stats["origins"] = len(cands)
         stats["table_sizes"] = sizes
+        stats["search_sets"] = budget.sets
     return (opt, witness)
 
 

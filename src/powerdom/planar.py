@@ -48,19 +48,20 @@ def validate_levels(g: Graph, la: LevelAssignment) -> str | None:
     """Structural check for supplied levels; None when acceptable.
 
     Peeling levels always start at 1 and never jump by more than one
-    across an edge, so that much is enforced for external input too.
+    across an edge, so that much is enforced for external input too.  The
+    message names nodes by their 1-based ids, as files write them.
     """
     if len(la.level) != g.n:
         return f"level assignment covers {len(la.level)} nodes, graph has {g.n}"
     for v, lv in enumerate(la.level):
         if lv < 1:
-            return f"node {v} has level {lv}; levels start at 1"
+            return f"node {v + 1} has level {lv}; levels start at 1"
     if g.n and min(la.level) != 1:
         return "no node has level 1"
     for u, v in g.edges:
         if abs(la.level[u] - la.level[v]) > 1:
             return (
-                f"edge {{{u}, {v}}} spans levels "
+                f"edge {{{u + 1}, {v + 1}}} spans levels "
                 f"{la.level[u]} and {la.level[v]}"
             )
     return None

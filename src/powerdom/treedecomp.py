@@ -50,6 +50,9 @@ class TreeDecomposition:
 
 @dataclass(frozen=True)
 class TdViolation:
+    """What validate_td found wrong; detail names nodes by their 1-based
+    ids, as the file formats and the command line write them."""
+
     kind: str
     detail: str
 
@@ -69,14 +72,14 @@ def validate_td(g: Graph, td: TreeDecomposition) -> TdViolation | None:
     for i, bag in enumerate(td.bags):
         for v in bag:
             if not (0 <= v < g.n):
-                return TdViolation("node-range", f"bag node {v} outside 0..{g.n - 1}")
+                return TdViolation("node-range", f"bag node {v + 1} outside 1..{g.n}")
             holders[v].add(i)
     for v in range(g.n):
         if not holders[v]:
-            return TdViolation("node-missing", f"node {v} is in no bag")
+            return TdViolation("node-missing", f"node {v + 1} is in no bag")
     for u, v in g.edges:
         if holders[u].isdisjoint(holders[v]):
-            return TdViolation("edge-uncovered", f"edge ({u}, {v}) is inside no bag")
+            return TdViolation("edge-uncovered", f"edge ({u + 1}, {v + 1}) is inside no bag")
     inner = [0] * g.n  # tree edges with both ends holding v
     for i, j in td.tree:
         for v in td.bags[i] & td.bags[j]:
@@ -84,7 +87,7 @@ def validate_td(g: Graph, td: TreeDecomposition) -> TdViolation | None:
     for v in range(g.n):
         if inner[v] != len(holders[v]) - 1:
             return TdViolation(
-                "disconnected", f"bags containing node {v} do not form a subtree"
+                "disconnected", f"bags containing node {v + 1} do not form a subtree"
             )
     return None
 

@@ -12,10 +12,10 @@ from powerdom.treedecomp import TreeDecomposition
 @pytest.fixture
 def dp_tables(monkeypatch):
     """Make solve_dp build its tables whenever the greedy bound leaves room
-    below it, instead of trying the few smaller sets outright or proving
-    the incumbent optimal by the packing bound, so that tests checking the
-    DP reach it on tiny graphs."""
-    monkeypatch.setattr(dpsolve, "SUBSET_LIMIT", -1)
+    below it, instead of searching the smaller sets or proving the
+    incumbent optimal by the packing bound, so that tests checking the DP
+    reach it on tiny graphs: a negative budget gives up before the walk."""
+    monkeypatch.setattr(dpsolve, "SEARCH_BUDGET", -1)
     monkeypatch.setattr(dpsolve, "_packing_bound", lambda g, tmask, ell: 0)
 
 

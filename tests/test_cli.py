@@ -220,14 +220,15 @@ def test_certified_dp_output_is_deterministic(tmp_path, capsys):
 
 
 def test_dp_with_a_decomposition_file(tmp_path, capsys):
-    # A pendant cycle on 20 builds tables at ell=2: one size per nice node
-    # of the passed decomposition, and the same answer as without it.
+    # A pendant cycle on 25 at ell=3 runs the subset search out of budget
+    # and builds tables: one size per nice node of the passed
+    # decomposition, and the same answer as without it.
     graph, td = tmp_path / "pc.gr", tmp_path / "pc.td"
-    graph.write_text(run(capsys, "gen", "pendant-cycle", "20")[1])
+    graph.write_text(run(capsys, "gen", "pendant-cycle", "25")[1])
     td.write_text(run(capsys, "td", str(graph))[1])
     payloads = []
     for extra in ((), ("--td", str(td))):
-        code, out, _ = run(capsys, "solve", "--ell", "2", "--method", "dp", "--json",
+        code, out, _ = run(capsys, "solve", "--ell", "3", "--method", "dp", "--json",
                            *extra, str(graph))
         assert code == 0
         payloads.append(json.loads(out))
@@ -248,6 +249,23 @@ def test_dp_refuses_a_decomposition_that_does_not_fit(tmp_path, capsys):
                              "--td", str(td), "--targets", targets, str(graph))
         assert code == 2 and out == ""
         assert "does not fit the graph" in err
+
+
+def test_input_errors_name_1_based_ids(tmp_path, capsys):
+    # The path 1-2-3 with bags {1, 2} and {3}: the file's edge 2-3 is in no
+    # bag.
+    graph, td = tmp_path / "p3.gr", tmp_path / "bad.td"
+    graph.write_text(P3)
+    td.write_text("s td 2 2 3\nb 1 1 2\nb 2 3\n1 2\n")
+    code, out, err = run(capsys, "solve", "--ell", "1", "--td", str(td), str(graph))
+    assert code == 2 and out == ""
+    assert "edge (2, 3) is inside no bag" in err
+    # Levels 1, 1, 3 on the same path: the file's edge 2-3 jumps a level.
+    graph.write_text(P3 + "l 1 1\nl 2 1\nl 3 3\n")
+    code, out, err = run(capsys, "solve", "--ell", "1", "--method", "ptas", "--eps", "1",
+                         str(graph))
+    assert code == 2 and out == ""
+    assert "edge {2, 3} spans levels 1 and 3" in err
 
 
 def test_oversized_node_count_is_refused(tmp_path, capsys):

@@ -81,7 +81,7 @@ def test_empty_targets():
         stats: dict = {}
         assert solve_dp(path_graph(n), set(), 2, stats=stats) == (0, frozenset())
         assert stats == {"lower_bound": 0, "upper_bound": 0, "origins": origins,
-                         "table_sizes": []}
+                         "table_sizes": [], "search_sets": 0}
     with pytest.raises(ValueError, match="does not fit the graph"):
         solve_dp(path_graph(3), set(), 2, heuristic_td(cycle_graph(4)))
 
@@ -121,9 +121,9 @@ def test_stats_hook(request):
         assert greedy[0] <= 2 and stats["table_sizes"] == []
     # At ell=1 the 4x4 grid's greedy needs 6 and the optimum is 4; on the
     # 3x3 grid nothing is below the greedy's 3, so the greedy set is the
-    # answer.  Both have few enough sets below ub (6,868 and 36) to try
-    # them outright, so tables are built only under dp_tables, which also
-    # turns off the packing bound that proves the 4x4 grid's optimum.
+    # answer.  The search settles both within its budget, so tables are
+    # built only under dp_tables, which also turns off the packing bound
+    # that proves the 4x4 grid's optimum.
     g4, g3 = grid_graph(4, 4), grid_graph(3, 3)
     greedy3 = _greedy_upper_bound(g3, frozenset(range(g3.n)), 1)
     for tables in (False, True):
@@ -206,9 +206,9 @@ def test_subset_search_matches_tables(request):
 
 def test_search_or_tables_does_not_follow_node_ids():
     # The greedy's tie-breaks give the 3x6 grid at ell=1 a bound of 6 or 7
-    # depending on node ids.  Both bounds leave few enough sets of ub - 1
-    # nodes, so every relabelling is settled by the search, at the same
-    # optimum, rather than some taking the tables at ten times the cost.
+    # depending on node ids.  The search settles both within its budget, so
+    # every relabelling ends at the same optimum without tables, rather
+    # than some taking the tables at ten times the cost.
     rng = random.Random(36)
     bounds = set()
     for _ in range(40):
@@ -219,6 +219,76 @@ def test_search_or_tables_does_not_follow_node_ids():
         assert stats["table_sizes"] == [], stats["upper_bound"]
         bounds.add(stats["upper_bound"])
     assert bounds == {6, 7}, bounds
+
+
+def test_search_budget_settles_what_a_set_count_sent_to_the_tables():
+    # The pendant cycle on 20 at ell=2 has C(20, 6) = 38,760 six-sets of
+    # candidates and the 5x5 grid at ell=1 C(25, 7) = 480,700 seven-sets,
+    # but the distance cut leaves the walk few of them to reach.
+    for g, ell in ((pendant_cycle(20), 2), (grid_graph(5, 5), 1)):
+        stats: dict = {}
+        opt, witness = solve_dp(g, range(g.n), ell, stats=stats)
+        assert opt == _milp_optimum(g, ell) and is_feasible(g, witness, range(g.n), ell)
+        assert stats["table_sizes"] == []
+        assert 0 < stats["search_sets"] <= dpsolve.SEARCH_BUDGET
+
+
+def test_spent_search_budget_falls_back_to_tables():
+    # The pendant cycle on 25 at ell=3 spreads too many sets for the
+    # budget, so the tables decide; optimum 9 from scipy's milp on
+    # build_ip_ell.
+    g = pendant_cycle(25)
+    stats: dict = {}
+    opt, witness = solve_dp(g, range(g.n), 3, stats=stats)
+    assert opt == len(witness) == 9 and is_feasible(g, witness, range(g.n), 3)
+    assert stats["search_sets"] > 0 and stats["table_sizes"]
+
+
+def test_budgets_agree_on_the_optimum(monkeypatch, request):
+    # The default budget, budgets that run out partway, some after a size
+    # has found a set, and none at all must give the same optimum.  Tables
+    # keep only states below the smallest set found, and a budget that
+    # never searches reaches no set.
+    rng = random.Random(4242)
+    cases = []
+    for _ in range(60):
+        n = rng.randint(8, 14)
+        g = random_connected_graph(rng, n, rng.uniform(0.15, 0.4))
+        targets = frozenset(v for v in range(n) if rng.random() < 0.8) or frozenset({0})
+        cases.append((g, targets, rng.randint(1, 3)))
+    for g in (grid_graph(4, 4), relabelled(grid_graph(3, 6), rng)):
+        cases.append((g, frozenset(range(g.n)), 1))
+    bounds = []
+    tables = dpsolve._tables
+
+    def recorded(g, ntd, targets, bound, *rest):
+        bounds.append(bound)
+        return tables(g, ntd, targets, bound, *rest)
+
+    monkeypatch.setattr(dpsolve, "_tables", recorded)
+    optima = {}
+    outcomes = Counter()
+    for budget in (dpsolve.SEARCH_BUDGET, *(4**k for k in range(6)), None):
+        if budget is None:
+            request.getfixturevalue("dp_tables")
+        else:
+            monkeypatch.setattr(dpsolve, "SEARCH_BUDGET", budget)
+        for case in cases:
+            g, targets, ell = case
+            stats: dict = {}
+            bounds.clear()
+            opt, witness = solve_dp(g, targets, ell, stats=stats)
+            assert len(witness) == opt and is_feasible(g, witness, targets, ell), case
+            assert optima.setdefault(case, opt) == opt, (budget, case)
+            searched, tabled = stats["search_sets"] > 0, bool(stats["table_sizes"])
+            outcomes[budget, searched, tabled] += 1
+            if tabled:
+                assert bounds[0] <= stats["upper_bound"] - 1, (budget, case)
+                outcomes[budget, "below ub - 1"] += bounds[0] < stats["upper_bound"] - 1
+    partway = [b for b in range(2 ** 12) if outcomes[b, True, True]]
+    assert len(partway) >= 3 and sum(outcomes[b, "below ub - 1"] for b in partway) >= 1, outcomes
+    assert outcomes[None, True, False] == outcomes[None, True, True] == 0, outcomes
+    assert outcomes[None, "below ub - 1"] == 0, outcomes
 
 
 def _reference_greedy(g, targets, ell):
@@ -889,7 +959,7 @@ def _observes_all(g, s, targets, ell):
 
 
 def test_packing_bound_and_sweep_are_sound(monkeypatch):
-    monkeypatch.setattr(dpsolve, "SUBSET_LIMIT", -1)
+    monkeypatch.setattr(dpsolve, "SEARCH_BUDGET", -1)
     certified = 0
     for rng, g, targets, ell in _bound_cases():
         case = (g.edges, sorted(targets), ell)
@@ -1006,7 +1076,7 @@ def test_certified_optima_match_tables_on_small_family_members(monkeypatch, requ
     rng = random.Random(1002)
     cases = [(spider(4, 6), 3), (spider(3, 8), 4), (spider(5, 4), 2),
              (attach_paths(path_graph(8), 3), 3)]
-    monkeypatch.setattr(dpsolve, "SUBSET_LIMIT", -1)
+    monkeypatch.setattr(dpsolve, "SEARCH_BUDGET", -1)
     graphs = [(relabelled(g, rng), ell) for g, ell in cases for _ in range(3)]
     certified = [_certified(g, ell) for g, ell in graphs]
     request.getfixturevalue("dp_tables")

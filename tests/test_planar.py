@@ -175,13 +175,13 @@ def test_ptas_builds_decompositions_only_for_table_blocks(monkeypatch):
 
     monkeypatch.setattr(planar, "solve_dp", solve_and_record)
     g, lv = stacked_triangles(6)
-    # At the default limit the greedy bound or the subset search settles
+    # At the default budget the greedy bound or the subset search settles
     # every block.
     ptas_detailed(g, lv, 1, 1)
     assert tabled and not any(tabled)
     assert built == {"heuristic_td": 0, "to_nice": 0}
     tabled.clear()
-    monkeypatch.setattr(dpsolve, "SUBSET_LIMIT", -1)
+    monkeypatch.setattr(dpsolve, "SEARCH_BUDGET", -1)
     ptas_detailed(g, lv, 1, 1)
     assert 0 < sum(tabled) < len(tabled)
     assert built == {"heuristic_td": sum(tabled), "to_nice": sum(tabled)}

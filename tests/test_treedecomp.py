@@ -69,17 +69,18 @@ def test_validate_catches_missing_pieces():
 
 def _naive_violation(g, td):
     """The first violated property straight from the definitions, checked
-    in the order node range, nodes, edges, subtrees; None if all hold."""
+    in the order node range, nodes, edges, subtrees, naming nodes by their
+    1-based ids; None if all hold."""
     for bag in td.bags:
         for v in bag:
             if not 0 <= v < g.n:
-                return ("node-range", f"bag node {v} outside 0..{g.n - 1}")
+                return ("node-range", f"bag node {v + 1} outside 1..{g.n}")
     for v in range(g.n):
         if not any(v in bag for bag in td.bags):
-            return ("node-missing", f"node {v} is in no bag")
+            return ("node-missing", f"node {v + 1} is in no bag")
     for u, v in g.edges:
         if not any(u in bag and v in bag for bag in td.bags):
-            return ("edge-uncovered", f"edge ({u}, {v}) is inside no bag")
+            return ("edge-uncovered", f"edge ({u + 1}, {v + 1}) is inside no bag")
     for v in range(g.n):
         holders = {i for i, bag in enumerate(td.bags) if v in bag}
         reached = {min(holders)}
@@ -91,7 +92,7 @@ def _naive_violation(g, td):
                     reached |= {i, j}
                     grew = True
         if reached != holders:
-            return ("disconnected", f"bags containing node {v} do not form a subtree")
+            return ("disconnected", f"bags containing node {v + 1} do not form a subtree")
     return None
 
 
@@ -147,7 +148,7 @@ def test_validate_on_a_long_path_decomposition():
     assert validate_td(g, TreeDecomposition(tuple(bags), tree)) is None
     bags[-1] = bags[-1] | {0}
     assert _verdict(g, TreeDecomposition(tuple(bags), tree)) == (
-        "disconnected", "bags containing node 0 do not form a subtree")
+        "disconnected", "bags containing node 1 do not form a subtree")
 
 
 def _reference_min_fill(g):
