@@ -51,8 +51,9 @@ def first_cover(
     """First set of size nodes from nodes (default: every node), in
     lexicographic order, observing every node of tmask within ell rounds,
     or None when no such set exists.  With a budget, raises BudgetSpent
-    once the walk has cost more than budget.left, at once if that is
-    negative; either way the budget is charged what the walk cost.
+    when the walk has cost more than budget.left and is not yet over, at
+    once if that is negative; either way the budget is charged what the
+    walk cost.
 
     Round 1 observes the origins' closed neighborhoods, and each later
     round observes only neighbors of nodes already observed, so a target
@@ -90,8 +91,11 @@ def first_cover(
     try:
         while d >= 0:
             if d == last:
-                # Each pool[j] that keeps the reach closes a full set; the
-                # loop is charged once it ends.
+                # Each pool[j] that keeps the reach closes a full set; loops
+                # are charged as they end, and a spent budget stops the walk
+                # only before another one.
+                if sets + SPREAD_COST * spreads > allowance:
+                    raise BudgetSpent
                 h, f = hit[d], first[d]
                 for j in range(i, m):
                     if h | reach[j] != tmask:
@@ -105,8 +109,6 @@ def first_cover(
                 else:
                     j = m
                 sets += j - i
-                if sets + SPREAD_COST * spreads > allowance:
-                    raise BudgetSpent
             elif i <= m - size + d and hit[d] | reach[i] == tmask:
                 chosen[d] = i
                 first[d + 1] = first[d] | closed[pool[i]]

@@ -27,13 +27,13 @@ that state at the optimum's cost: a forget drops every state in which the
 forgotten node is still hatted.
 
 Tables are built only when they can pay.  solve_dp first holds a feasible
-set of size ub, the greedy one.  At ub <= 2 that set is optimal.  Above
-that it tries the sets below ub outright, sizes downward from ub - 1,
-keeping the lexicographically first set of each size that observes every
-target.  Spreading is monotone in the origin set, so once no set of some
-size works, none of a smaller size does, and the last size that worked is
-optimal; a set of size lb, the lower bound below, is optimal too and ends
-the search.  A size above the optimum ends at an early set that works.
+set of size ub, the sweep's below, and a lower bound lb; at ub == lb the
+sweep's set is optimal.  Otherwise it tries the sets below ub outright,
+sizes downward from ub - 1, keeping the lexicographically first set of
+each size that observes every target.  Spreading is monotone in the origin
+set, so once no set of some size works, none of a smaller size does, and
+the last size that worked is optimal; a set of size lb is optimal too and
+ends the search.  A size above the optimum ends at an early set that works.
 The size below it has no set that works, and the search cuts it by
 distance (see bruteforce.first_cover): a target observed within ell
 rounds lies within distance ell of an origin, so a set is spread only when
@@ -47,22 +47,23 @@ and counted in the full-size sets the walk reaches, each spread charged
 more.  Only when the budget runs out are the tables built, keeping states
 below the smallest set found so far.
 
-The same distance argument gives a lower bound.  Targets pairwise more than
-2 * ell apart each need an origin of their own, so a packing of them, taken
-per component from the deepest BFS layer below the component's lowest id
-up, bounds the optimum from below by its size lb.  On a tree with every
-node a target this packing is a largest one, as large as a smallest
+The same distance argument gives the lower bound.  Targets pairwise more
+than 2 * ell apart each need an origin of their own, so a packing of them,
+taken per component from the deepest BFS layer below the component's
+lowest id up, bounds the optimum from below by its size lb.  On a tree with
+every node a target this packing is a largest one, as large as a smallest
 distance-ell dominating set (Meir and Moon 1975), which on paths is the
-optimum.  A sweep in the same order then looks for a set of size lb: the
-first target still unobserved gets the candidate within distance ell of it
-that observes it and the most targets.  One always exists, the target
-itself or the candidate whose closed neighborhood contains the target's.
-The sweep gives up once it holds lb nodes and targets remain.  The greedy
-builds its set pick by pick and pauses for the bound and the sweep only
-once its picks outnumber what the search budget could try, more sets of
-that many candidates than SEARCH_BUDGET; a sweep set of size lb is
-optimal and is returned without search or tables, and otherwise the
-greedy resumes, its set being optimal too if it ends at lb.
+optimum.  Their deepest-first rule gives the incumbent: a sweep in the same
+order gives the first target t still unobserved the candidate that, added
+to those chosen, observes t and the most targets.  One always exists, the
+candidate whose closed neighborhood contains t's.  Only candidates within
+distance 2 * ell - 1 of t can observe it: given the origins already
+chosen, a new origin changes what round r observes only within distance
+2r - 1 of itself.  Round 1 changes its closed neighborhood, and a node
+forced in a later round by a neighbor u changes only if u or another
+neighbor of u changed in the round before, so each round moves the change
+at most two hops.  The sweep weighs only those candidates, and its pick is
+the one over all of them.
 
 Only some nodes are offered as origins.  An origin's one effect is to
 observe its closed neighborhood in round 1, and every later round depends
@@ -85,7 +86,7 @@ test suite audits stored tables against the predicate on small instances.
 
 from __future__ import annotations
 
-from math import comb, inf as INF
+from math import inf as INF
 from operator import itemgetter, le
 
 from powerdom.bruteforce import Budget, BudgetSpent, first_cover
@@ -105,8 +106,7 @@ UNOBSERVED = 1 << 30
 NO_CAP = UNOBSERVED
 
 # The work solve_dp's subset search may do before it builds tables, in
-# full-size sets reached (see bruteforce.first_cover); the greedy pauses for
-# the packing bound once it has more picks than this many sets of them.
+# full-size sets reached (see bruteforce.first_cover).
 SEARCH_BUDGET = 50_000
 
 
@@ -291,41 +291,6 @@ def _rounds(closed: tuple[int, ...], base: int, ell: int) -> list[int] | None:
     return rounds
 
 
-def _best_pick(closed: tuple[int, ...], base: int, ell: int, tmask: int, pool: int, need: int = 0):
-    """(targets observed, node, observed mask) for the node of the mask pool
-    that, added to the origins whose closed neighborhoods make up base,
-    observes all of need and the most targets, the lowest id among equals;
-    None when none observes need.  The run of base is spread once, and each
-    node re-runs only where its extra origin reaches."""
-    rounds = _rounds(closed, base, ell)
-    top, best = -1, None
-    while pool:
-        low = pool & -pool
-        pool ^= low
-        v = low.bit_length() - 1
-        seen = spread(closed, base | closed[v], ell, None, tmask, rounds)  # times, stop, base
-        hit = (seen & tmask).bit_count()
-        if hit > top and seen & need == need:
-            top, best = hit, (hit, v, seen)
-    return best
-
-
-def _greedy_picks(g: Graph, tmask: int, ell: int):
-    """A feasible set found greedily, yielded pick by pick as (node, True
-    once every node of tmask is observed).  Each step adds the best pick
-    among the nodes not yet chosen."""
-    closed = g.closed_masks()
-    pool = (1 << g.n) - 1
-    base = 0  # union of the chosen nodes' closed neighborhoods
-    covered = 0
-    goal = tmask.bit_count()
-    while covered < goal:
-        covered, v, _ = _best_pick(closed, base, ell, tmask, pool)
-        pool ^= 1 << v
-        base |= closed[v]
-        yield v, covered == goal
-
-
 def _deepest_first(g: Graph, tmask: int) -> list[int]:
     """The nodes of tmask, component by component in order of their lowest
     id, each component's from the deepest BFS layer below that id up, the
@@ -351,36 +316,48 @@ def _deepest_first(g: Graph, tmask: int) -> list[int]:
     return order
 
 
-def _packing_bound(g: Graph, tmask: int, ell: int) -> int:
+def _packing_bound(g: Graph, order: list[int], ell: int) -> int:
     """A lower bound on the optimum: the size of a set of targets pairwise
-    more than 2 * ell apart, taken deepest first (see the module docstring)."""
+    more than 2 * ell apart, taken in order, the targets deepest first (see
+    the module docstring)."""
     closed = g.closed_masks()
     size = 0
     blocked = 0
-    for t in _deepest_first(g, tmask):
+    for t in order:
         if not blocked >> t & 1:
             size += 1
             blocked |= ball(closed, 1 << t, 2 * ell)
     return size
 
 
-def _sweep(g: Graph, tmask: int, ell: int, origins: int, cap: int) -> frozenset[int] | None:
-    """A feasible set of at most cap candidates, or None when the sweep
-    needs more.  The first target t left unobserved, deepest first, gets the
-    best pick among the candidates within distance ell of t that observe t."""
+def _sweep(g: Graph, order: list[int], tmask: int, ell: int, origins: int) -> frozenset[int]:
+    """A feasible set of candidates, the nodes of the mask origins.  The
+    first target t of order left unobserved gets the candidate that, added
+    to those chosen, observes t and the most targets, the lowest id among
+    equals.  Only candidates within distance 2 * ell - 1 of t can observe
+    it (see the module docstring).  The chosen set's run is spread once per
+    pick, and each candidate re-runs it only where its extra origin
+    reaches."""
     closed = g.closed_masks()
     chosen: list[int] = []
-    base = 0
+    base = 0  # union of the chosen nodes' closed neighborhoods
     observed = 0
-    for t in _deepest_first(g, tmask):
+    for t in order:
         if observed >> t & 1:
             continue
-        if len(chosen) == cap:
-            return None
-        near = ball(closed, 1 << t, ell) & origins
-        _, v, observed = _best_pick(closed, base, ell, tmask, near, 1 << t)
-        chosen.append(v)
-        base |= closed[v]
+        rounds = _rounds(closed, base, ell)
+        pool = ball(closed, 1 << t, 2 * ell - 1) & origins
+        top = -1
+        while pool:
+            low = pool & -pool
+            pool ^= low
+            v = low.bit_length() - 1
+            seen = spread(closed, base | closed[v], ell, None, tmask, rounds)  # times, stop, base
+            hit = (seen & tmask).bit_count()
+            if hit > top and seen >> t & 1:
+                top, best, observed = hit, v, seen
+        chosen.append(best)
+        base |= closed[best]
     return frozenset(chosen)
 
 
@@ -470,13 +447,13 @@ def solve_dp(
     always validated against g first, a misfit refused with a ValueError.
     Either is built or put in nice form only when tables are built.  ell is
     clamped to n-1, beyond which one more round can never help.  Returns
-    (optimum, witness set); the witness is the incumbent, the sweep's set
-    or else the greedy's, when nothing smaller exists.  A dict passed as
-    stats receives the packing lower bound, the upper bound (the size of
-    that incumbent), the number of candidate origins, the full-size sets
-    the subset search reached over all its sizes, and per-nice-node table
-    sizes, in post order, an empty list when no tables were built, filled
-    in after the solve, so passing stats changes none of its steps.
+    (optimum, witness set); the witness is the incumbent, the sweep's set,
+    when nothing smaller exists.  A dict passed as stats receives the
+    packing lower bound, the upper bound (the size of the sweep's set),
+    the number of candidate origins, the full-size sets the subset search
+    reached over all its sizes, and per-nice-node table sizes, in post
+    order, an empty list when no tables were built.  Passing stats changes
+    none of the solve's steps.
     """
     targets = frozenset(targets)
     if not targets <= frozenset(range(g.n)):
@@ -492,50 +469,28 @@ def solve_dp(
     tmask = 0
     for v in targets:
         tmask |= 1 << v
-    # The greedy pauses once the budget holds fewer sets than its picks
-    # make of the candidates; then the packing bound lb and the sweep capped
-    # at it run, and a sweep set of size lb is optimal.
-    picks: list[int] = []
-    origins = lb = swept = None
-    for v, done in _greedy_picks(g, tmask, ell):
-        picks.append(v)
-        if done or len(picks) < 2 or lb is not None:
-            continue
-        if origins is None:
-            origins = _origins(g)
-        nc = origins.bit_count()
-        if comb(nc, min(len(picks), nc // 2)) > SEARCH_BUDGET:
-            # The search is unlikely to settle the greedy's set.
-            lb = _packing_bound(g, tmask, ell)
-            swept = _sweep(g, tmask, ell, origins, lb)
-            if swept is not None:
-                break
-    ub, witness = (lb, swept) if swept is not None else (len(picks), frozenset(picks))
-    if origins is None:
-        # Only the search and the tables below read the candidates; at
-        # ub <= 2 they are counted for stats alone.
-        origins = _origins(g) if ub > 2 or stats is not None else 0
+    origins = _origins(g)
+    order = _deepest_first(g, tmask)
+    lb = _packing_bound(g, order, ell)
+    witness = _sweep(g, order, tmask, ell, origins)
+    ub = opt = len(witness)
     cands = [v for v in range(g.n) if origins >> v & 1]
     sizes: list[int] = []
-    opt = ub
     budget = Budget(SEARCH_BUDGET)
-    # The incumbent is optimal at ub <= 2, since a lone origin observing
-    # every target would be the greedy's first pick, and at ub == lb.
-    # Otherwise the sets are tried outright, the largest first, none larger
-    # than the number of candidates, since all of them observe every node
-    # in round 1, and none smaller than lb, and the tables are built only
-    # when the search runs out of budget.  They search only below the
-    # smallest set found, since a state's cost never falls towards the root.
+    # The sweep's set is optimal at ub == lb.  Otherwise the sets below it
+    # are tried outright, the largest first, none smaller than lb, and the
+    # tables are built only when the search runs out of budget.  They
+    # search only below the smallest set found, since a state's cost never
+    # falls towards the root.
     spent = False
-    if ub > 2 and ub != lb:
-        try:
-            for size in range(min(ub - 1, len(cands)), max(lb or 0, 2) - 1, -1):
-                found = first_cover(g.closed_masks(), size, tmask, ell, cands, budget)
-                if found is None:
-                    break
-                opt, witness = size, found
-        except BudgetSpent:
-            spent = True
+    try:
+        for size in range(ub - 1, lb - 1, -1):
+            found = first_cover(g.closed_masks(), size, tmask, ell, cands, budget)
+            if found is None:
+                break
+            opt, witness = size, found
+    except BudgetSpent:
+        spent = True
     if spent:
         ntd = to_nice(td or heuristic_td(g))
         eb = _label_bounds(g, ell, origins, targets)
@@ -553,8 +508,7 @@ def solve_dp(
     if len(witness) != opt or not is_feasible(g, witness, targets, ell):
         raise RuntimeError("solution failed verification; this is an internal error")
     if stats is not None:
-        # Filled in only now, so that passing stats changes no step above.
-        stats["lower_bound"] = _packing_bound(g, tmask, ell) if lb is None else lb
+        stats["lower_bound"] = lb
         stats["upper_bound"] = ub
         stats["origins"] = len(cands)
         stats["table_sizes"] = sizes

@@ -224,7 +224,10 @@ def ptas_detailed(g: Graph, levels: LevelAssignment, ell: int, eps) -> PtasResul
     """
     if ell < 1:
         raise ValueError("round budget ell must be >= 1")
-    e = Fraction(eps)
+    try:
+        e = Fraction(eps)
+    except (ZeroDivisionError, OverflowError):  # "1/0", an infinite float
+        raise ValueError("eps must lie in (0, 1]") from None
     if not (0 < e <= 1):
         raise ValueError("eps must lie in (0, 1]")
     bad = validate_levels(g, levels)

@@ -5,18 +5,24 @@ import math
 import pytest
 
 from powerdom import dpsolve
+from powerdom.bruteforce import first_cover
 from powerdom.graphs import Graph
 from powerdom.treedecomp import TreeDecomposition
 
 
 @pytest.fixture
 def dp_tables(monkeypatch):
-    """Make solve_dp build its tables whenever the greedy bound leaves room
-    below it, instead of searching the smaller sets or proving the
-    incumbent optimal by the packing bound, so that tests checking the DP
-    reach it on tiny graphs: a negative budget gives up before the walk."""
+    """Make solve_dp build its tables whenever the sweep's bound ub leaves
+    room below it for two or more origins, instead of searching the smaller
+    sets or proving the sweep's set optimal by the packing bound, so that
+    tests checking the DP reach it on tiny graphs.  A negative budget gives
+    up before the walk, except that the search for a lone origin runs
+    unbudgeted: tables built below 2 would only redo it at length."""
     monkeypatch.setattr(dpsolve, "SEARCH_BUDGET", -1)
-    monkeypatch.setattr(dpsolve, "_packing_bound", lambda g, tmask, ell: 0)
+    monkeypatch.setattr(dpsolve, "_packing_bound", lambda g, order, ell: 0)
+    monkeypatch.setattr(
+        dpsolve, "first_cover", lambda closed, size, tmask, ell, nodes, budget: first_cover(
+            closed, size, tmask, ell, nodes, None if size == 1 else budget))
 
 
 def path_graph(n: int) -> Graph:

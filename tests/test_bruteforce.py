@@ -6,7 +6,7 @@ import pytest
 
 from conftest import cycle_graph, naive_times, path_graph, random_graph, star_graph
 from powerdom import bruteforce
-from powerdom.bruteforce import first_cover, solve_bf, solve_domset_bf
+from powerdom.bruteforce import Budget, BudgetSpent, first_cover, solve_bf, solve_domset_bf
 from powerdom.dpsolve import _origins
 from powerdom.generators import pendant_cycle, spider
 from powerdom.propagation import is_feasible
@@ -130,3 +130,20 @@ def test_distance_cut_spares_the_spreads(monkeypatch):
     # The count sees the spreads that do happen.
     assert first_cover(g.closed_masks(), 6, (1 << g.n) - 1, 2, cands) is not None
     assert spreads >= 1
+
+
+def test_a_walk_keeps_its_answer_when_its_last_loop_spends_the_budget():
+    # No node dominates the 7-path alone and no pair does.  The size-1
+    # walk is one loop over two sets, so a budget of 1 is spent only as
+    # the walk ends, and its answer stands; the size-2 walk reaches six
+    # sets and gives up after three.  A negative budget gives up at once.
+    closed = path_graph(7).closed_masks()
+    tmask = (1 << 7) - 1
+    budget = Budget(1)
+    assert first_cover(closed, 1, tmask, 1, None, budget) is None
+    assert (budget.sets, budget.left) == (2, -1)
+    for left, sets in ((1, 3), (-1, 0)):
+        budget = Budget(left)
+        with pytest.raises(BudgetSpent):
+            first_cover(closed, 2, tmask, 1, None, budget)
+        assert budget.sets == sets

@@ -126,6 +126,14 @@ def test_solve_ptas(capsys):
     assert is_feasible(g, witness, range(g.n), 1)
 
 
+def test_solve_ptas_refuses_a_zero_denominator(tmp_path, capsys):
+    path = tmp_path / "p3.gr"
+    path.write_text("p edge 3 2\ne 1 2\ne 2 3\nl 1 1\nl 2 2\nl 3 3\n")
+    code, out, err = run(capsys, "solve", str(path), "--ell", "1", "--method", "ptas",
+                         "--eps", "1/0")
+    assert code == 2 and out == "" and "eps" in err and "Traceback" not in err
+
+
 def test_emit_ip(tmp_path, capsys):
     graph = tmp_path / "k2.gr"
     graph.write_text(K2)

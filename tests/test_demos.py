@@ -1,6 +1,9 @@
-"""Every demo script runs to completion and prints its narrative, and the
-README's examples print what the README says they print."""
+"""Every demo script runs to completion and prints its narrative, the
+README's examples print what the README says they print, and the names the
+README gives are the program's."""
 
+import importlib
+import json
 import os
 import re
 import shlex
@@ -54,3 +57,22 @@ def test_readme_spider_pipelines_print_what_the_readme_shows():
                                  capture_output=True, text=True, check=True,
                                  timeout=120).stdout
         assert out == expected, command
+
+
+def test_readme_names_what_the_program_has(tmp_path):
+    # Each backticked `module.name` resolves in powerdom.<module>, and each
+    # key that `solve --method dp --json` prints is named, in backticks or
+    # in quotes.
+    text = (ROOT / "README.md").read_text()
+    names = re.findall(r"`([a-z_]+)\.([A-Za-z_]\w*)`", text)
+    assert len(names) >= 4
+    for module, name in names:
+        assert hasattr(importlib.import_module(f"powerdom.{module}"), name), f"{module}.{name}"
+    graph = tmp_path / "p3.gr"
+    graph.write_text("p edge 3 2\ne 1 2\ne 2 3\n")
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    out = subprocess.run([sys.executable, "-m", "powerdom", "solve", str(graph), "--ell", "1",
+                          "--method", "dp", "--json"], env=env, capture_output=True,
+                         text=True, check=True, timeout=120).stdout
+    missing = [key for key in json.loads(out) if f"`{key}`" not in text and f'"{key}"' not in text]
+    assert not missing, missing

@@ -26,7 +26,7 @@ from powerdom.bruteforce import solve_bf
 from powerdom.dpsolve import (
     NO_CAP,
     UNOBSERVED,
-    _greedy_picks,
+    _deepest_first,
     _insert_may_dominate,
     _join_table,
     _label_bounds,
@@ -49,10 +49,10 @@ from powerdom.treedecomp import (
 )
 
 
-def _greedy_upper_bound(g, targets, ell):
-    """The greedy's whole set, with its size."""
-    chosen = frozenset(v for v, _ in _greedy_picks(g, sum(1 << v for v in targets), ell))
-    return len(chosen), chosen
+def _swept(g, targets, ell):
+    """The sweep's set, solve_dp's incumbent."""
+    tmask = sum(1 << v for v in targets)
+    return _sweep(g, _deepest_first(g, tmask), tmask, ell, _origins(g))
 
 
 @pytest.mark.usefixtures("dp_tables")
@@ -113,35 +113,30 @@ def test_dense_shortcut_still_exact():
 
 
 def test_stats_hook(request):
-    # At ub <= 2 the greedy set is optimal and no table is built.
-    for g in (star_graph(6), cycle_graph(6)):
-        stats: dict = {}
-        greedy = _greedy_upper_bound(g, frozenset(range(g.n)), 1)
-        assert solve_dp(g, range(g.n), 1, stats=stats) == greedy
-        assert greedy[0] <= 2 and stats["table_sizes"] == []
-    # At ell=1 the 4x4 grid's greedy needs 6 and the optimum is 4; on the
-    # 3x3 grid nothing is below the greedy's 3, so the greedy set is the
+    # At ell=1 the 2x5 grid's sweep needs 4 and the optimum is 3; on the
+    # 3x3 grid nothing is below the sweep's 3, so the sweep's set is the
     # answer.  The search settles both within its budget, so tables are
-    # built only under dp_tables, which also turns off the packing bound
-    # that proves the 4x4 grid's optimum.
-    g4, g3 = grid_graph(4, 4), grid_graph(3, 3)
-    greedy3 = _greedy_upper_bound(g3, frozenset(range(g3.n)), 1)
+    # built only under dp_tables.
+    g5, g3 = grid_graph(2, 5), grid_graph(3, 3)
+    swept3 = _swept(g3, range(g3.n), 1)
     for tables in (False, True):
         if tables:
             request.getfixturevalue("dp_tables")
         stats = {}
-        assert solve_dp(g4, range(g4.n), 1, stats=stats)[0] == 4
-        assert stats["upper_bound"] == 6
+        assert solve_dp(g5, range(g5.n), 1, stats=stats)[0] == 3
+        assert stats["upper_bound"] == 4
         assert bool(stats["table_sizes"]) == tables and all(s >= 1 for s in stats["table_sizes"])
         stats = {}
-        assert solve_dp(g3, range(g3.n), 1, stats=stats) == greedy3
-        assert greedy3[0] == stats["upper_bound"] == 3
+        assert solve_dp(g3, range(g3.n), 1, stats=stats) == (3, swept3)
+        assert stats["upper_bound"] == 3
         assert bool(stats["table_sizes"]) == tables
 
 
 def _subset_search_cases():
     """Every connected atlas graph of 5 to 7 nodes at every ell, with
-    seeded random targets, and the 4x4 grid at ell=1 (ub 6, optimum 4)."""
+    seeded random targets, the grids of 2 rows and 4 to 8 columns and of 3
+    rows and 3 to 7 columns at ell=1, and a relabelling of the 4x4 grid at
+    ell=1 on which the sweep needs 6 (optimum 4)."""
     nx = pytest.importorskip("networkx")
     rng = random.Random(5040)
     atlas = [ag for ag in nx.graph_atlas_g()
@@ -152,14 +147,15 @@ def _subset_search_cases():
         for ell in range(1, n):
             targets = frozenset(v for v in range(n) if rng.random() < 0.7) or frozenset({0})
             yield g, targets, ell
-    yield grid_graph(4, 4), frozenset(range(16)), 1
+    for r, c in [(2, c) for c in range(4, 9)] + [(3, c) for c in range(3, 8)]:
+        yield grid_graph(r, c), frozenset(range(r * c)), 1
+    yield relabelled(grid_graph(4, 4), random.Random(22)), frozenset(range(16)), 1
 
 
 def test_stats_observe_the_solve_without_steering_it(monkeypatch):
-    # Stats observe a solve and do not steer it: a lower bound computed
-    # only for stats must not let ub == lb skip the subset search that a
-    # plain call runs.  With and without stats, a solve makes the same
-    # search and table calls and returns the same optimum and witness.
+    # Stats observe a solve and do not steer it.  With and without stats, a
+    # solve makes the same search and table calls and returns the same
+    # optimum and witness.
     calls = Counter()
     for name in ("first_cover", "_tables"):
         def counted(*args, _orig=getattr(dpsolve, name), _name=name, **kwargs):
@@ -167,16 +163,20 @@ def test_stats_observe_the_solve_without_steering_it(monkeypatch):
             return _orig(*args, **kwargs)
 
         monkeypatch.setattr(dpsolve, name, counted)
+    cases = [(pendant_cycle(m), 1) for m in range(6, 17)]
+    cases += [(pendant_cycle(m), 2) for m in (9, 12, 15, 18)]
+    cases += [(grid_graph(r, c), 1) for r in (2, 3) for c in range(3, 8)]
     searched = 0
-    for m, ell in [(m, 1) for m in range(6, 17)] + [(m, 2) for m in (9, 12, 15, 18)]:
-        g = pendant_cycle(m)
+    for g, ell in cases:
         runs = []
         for stats in (None, {}):
             calls.clear()
             runs.append((solve_dp(g, range(g.n), ell, stats=stats), dict(calls)))
-        assert runs[0] == runs[1], (m, ell)
+        assert runs[0] == runs[1], (g.edges, ell)
         searched += calls["first_cover"] > 0
-    assert searched == 15
+    # The sweep's set meets the packing bound on every pendant cycle and
+    # on the 2x3 and 3x5 grids; the other eight grids search below it.
+    assert searched == 8
 
 
 def test_subset_search_matches_tables(request):
@@ -205,7 +205,7 @@ def test_subset_search_matches_tables(request):
 
 
 def test_search_or_tables_does_not_follow_node_ids():
-    # The greedy's tie-breaks give the 3x6 grid at ell=1 a bound of 6 or 7
+    # The sweep's tie-breaks give the 3x6 grid at ell=1 a bound of 5 or 6
     # depending on node ids.  The search settles both within its budget, so
     # every relabelling ends at the same optimum without tables, rather
     # than some taking the tables at ten times the cost.
@@ -218,7 +218,7 @@ def test_search_or_tables_does_not_follow_node_ids():
         assert opt == 5 and is_feasible(g, witness, range(g.n), 1)
         assert stats["table_sizes"] == [], stats["upper_bound"]
         bounds.add(stats["upper_bound"])
-    assert bounds == {6, 7}, bounds
+    assert bounds == {5, 6}, bounds
 
 
 def test_search_budget_settles_what_a_set_count_sent_to_the_tables():
@@ -256,7 +256,10 @@ def test_budgets_agree_on_the_optimum(monkeypatch, request):
         g = random_connected_graph(rng, n, rng.uniform(0.15, 0.4))
         targets = frozenset(v for v in range(n) if rng.random() < 0.8) or frozenset({0})
         cases.append((g, targets, rng.randint(1, 3)))
-    for g in (grid_graph(4, 4), relabelled(grid_graph(3, 6), rng)):
+    # On this relabelling of the 4x4 grid the sweep needs 6, two above the
+    # optimum, so a budget can run out after a size has found a set.
+    for g in (grid_graph(4, 4), relabelled(grid_graph(3, 6), rng),
+              relabelled(grid_graph(4, 4), random.Random(22))):
         cases.append((g, frozenset(range(g.n)), 1))
     bounds = []
     tables = dpsolve._tables
@@ -289,54 +292,6 @@ def test_budgets_agree_on_the_optimum(monkeypatch, request):
     assert len(partway) >= 3 and sum(outcomes[b, "below ub - 1"] for b in partway) >= 1, outcomes
     assert outcomes[None, True, False] == outcomes[None, True, True] == 0, outcomes
     assert outcomes[None, "below ub - 1"] == 0, outcomes
-
-
-def _reference_greedy(g, targets, ell):
-    """Add the node observing the most targets, lowest id among equals,
-    until every target is observed; spreading by the naive oracle."""
-
-    def hit(s):
-        times = naive_times(g, s, ell)
-        return sum(1 for v in targets if times[v] != INF)
-
-    chosen: set[int] = set()
-    while hit(chosen) < len(targets):
-        gain = {v: hit(chosen | {v}) for v in range(g.n) if v not in chosen}
-        chosen.add(max(gain, key=lambda v: (gain[v], -v)))
-    return chosen
-
-
-def _greedy_cases():
-    rng = random.Random(1618)
-    for _ in range(40):
-        n = rng.randint(1, 9)
-        g = random_graph(rng, n, rng.uniform(0.1, 0.6))
-        ell = rng.randint(1, n)
-        targets = frozenset(v for v in range(n) if rng.random() < 0.7) or frozenset({0})
-        yield g, targets, ell
-    # Relabelled paths, spiders and trees of 20-40 nodes with round budgets
-    # up to n, so that the runs the greedy re-spreads last many rounds.
-    rng = random.Random(2718)
-    for i in range(30):
-        n = rng.randint(20, 40)
-        if i % 3 == 0:
-            g = path_graph(n)
-        elif i % 3 == 1:
-            legs = rng.randint(2, 5)
-            g = spider(legs, (n - 1) // legs)
-        else:
-            g = random_tree(rng, n)
-        g = relabelled(g, rng)
-        ell = rng.choice((rng.randint(1, 4), rng.randint(5, g.n // 3), rng.randint(5, g.n)))
-        targets = frozenset(v for v in range(g.n) if rng.random() < 0.8) or frozenset({0})
-        yield g, targets, ell
-
-
-def test_greedy_bound_matches_reference_greedy():
-    for g, targets, ell in _greedy_cases():
-        want = _reference_greedy(g, targets, ell)
-        assert _greedy_upper_bound(g, targets, ell) == (len(want), frozenset(want)), (
-            g.edges, sorted(targets), ell)
 
 
 @pytest.mark.usefixtures("dp_tables")
@@ -407,7 +362,7 @@ def test_tables_never_hold_invalid_states(monkeypatch):
             ell = rng.randint(1, n - 1)
             targets = frozenset(range(n))
             ntd = to_nice(heuristic_td(g))
-            ub, _ = _greedy_upper_bound(g, targets, ell)
+            ub = len(_swept(g, targets, ell))
             # Every node as a possible origin, and the solver's candidates.
             for origins in ((1 << n) - 1, _origins(g)):
                 for _, table, ctx in _tables(g, ntd, targets, ub, [ell] * n, origins):
@@ -451,8 +406,9 @@ def test_join_refuses_two_justifying_edges():
 
 
 # Optimum and per-nice-node table sizes (post order, after pruning) on the
-# default decomposition: first at the greedy bound ub, then as solve_dp
-# builds them with the subset search off, at ub - 1 and none when ub <= 2.
+# default decomposition: first at the sweep's bound ub, then as solve_dp
+# builds them under dp_tables, at ub - 1 and none when ub <= 2, where the
+# search for a lone origin settles the solve.
 # A change of state layout must leave them as they are.  Each empty leaf
 # holds the empty bag's one state, and each list ends with the forgets down
 # to the empty root, whose table holds that state or, when nothing fits
@@ -478,11 +434,11 @@ TABLE_SIZES = [
         1, 3, 14, 57, 141, 141, 518, 1416, 1091, 2521, 1, 3, 14, 57, 141, 141, 519, 1275, 1,
         3, 9, 57, 141, 141, 363, 1425, 4163, 2009, 1080, 601, 36, 25, 10, 3, 1], []),
     (spider(3, 3), 2, 3, [
-        1, 2, 3, 3, 5, 5, 15, 1, 3, 2, 2, 5, 5, 15, 10, 41, 44, 12, 14, 11, 20, 12, 4, 2, 1], [
-        1, 2, 3, 3, 5, 5, 15, 1, 3, 2, 2, 5, 5, 15, 10, 41, 41, 12, 13, 10, 13, 10, 3, 2, 1]),
+        1, 2, 3, 3, 5, 5, 15, 1, 3, 2, 2, 5, 5, 15, 10, 41, 41, 12, 13, 10, 13, 10, 3, 2, 1], [
+        1, 2, 3, 3, 5, 5, 14, 1, 3, 2, 2, 5, 5, 14, 10, 38, 22, 9, 6, 5, 3, 2, 0, 0, 0]),
     (spider(4, 2), 1, 4, [
-        1, 1, 1, 1, 3, 1, 2, 1, 1, 3, 3, 8, 1, 2, 1, 1, 3, 3, 8, 8, 4, 3, 6, 5, 2, 1, 1], [
-        1, 1, 1, 1, 3, 1, 2, 1, 1, 3, 3, 8, 1, 2, 1, 1, 3, 3, 8, 8, 4, 3, 5, 4, 1, 1, 1]),
+        1, 1, 1, 1, 3, 1, 2, 1, 1, 3, 3, 8, 1, 2, 1, 1, 3, 3, 8, 8, 4, 3, 5, 4, 1, 1, 1], [
+        1, 1, 1, 1, 3, 1, 2, 1, 1, 3, 3, 8, 1, 2, 1, 1, 3, 3, 8, 7, 3, 2, 1, 1, 0, 0, 0]),
 ]
 
 
@@ -518,8 +474,8 @@ def _root_optimum(g, targets, ell, ntd, bound):
 def _check_against_bruteforce(g, targets, ell, td) -> str:
     """Check solve_dp against solve_bf, and the tables on their own: built
     at bound opt they reach opt exactly, at opt - 1 nothing.  opt = 1 is
-    left to the greedy, which tries every lone origin.  Returns how the
-    solve ended."""
+    left to the sweep, whose first pick weighs every candidate that can
+    observe the first target.  Returns how the solve ended."""
     stats: dict = {}
     opt, witness = solve_dp(g, targets, ell, td, stats=stats)
     case = (g.edges, td, sorted(targets), ell)
@@ -529,16 +485,17 @@ def _check_against_bruteforce(g, targets, ell, td) -> str:
         ntd = to_nice(td)
         assert _root_optimum(g, targets, ell, ntd, opt) == opt, case
         assert _root_optimum(g, targets, ell, ntd, opt - 1) is None, case
-    ub = stats.get("upper_bound", 0)
-    if ub <= 2:
-        return "shortcut"
-    return "greedy proven optimal" if opt == ub else "tables beat greedy"
+    ub = stats["upper_bound"]
+    if ub == stats["lower_bound"]:
+        return "packing bound met"
+    return "sweep proven optimal" if opt == ub else "tables beat the sweep"
 
 
 def test_matches_bruteforce_on_random_decompositions():
     rng = random.Random(8128)
     kinds = set()
-    outcomes = dict.fromkeys(("shortcut", "greedy proven optimal", "tables beat greedy"), 0)
+    outcomes = dict.fromkeys(("packing bound met", "sweep proven optimal",
+                              "tables beat the sweep"), 0)
     for _ in range(1000):
         n = rng.randint(2, 8)
         g = random_graph(rng, n, rng.uniform(0.25, 0.7))
@@ -548,15 +505,15 @@ def test_matches_bruteforce_on_random_decompositions():
         ell = rng.randint(1, min(4, n - 1))
         targets = frozenset(v for v in range(n) if rng.random() < 0.7)
         outcomes[_check_against_bruteforce(g, targets, ell, td)] += 1
-    # Random graphs this small rarely fool the greedy; spiders and the 4x4
-    # grid do.
     for legs in (2, 3, 4):
         for length, ell in ((2, 1), (3, 2)):
             g = relabelled(spider(legs, length), rng)
             td = random_decomposition(rng, g)
             outcomes[_check_against_bruteforce(g, frozenset(range(g.n)), ell, td)] += 1
-    g = grid_graph(4, 4)
-    outcomes[_check_against_bruteforce(g, frozenset(range(g.n)), 1, heuristic_td(g))] += 1
+    # Random graphs this small rarely fool the sweep; the 2x5 grid and
+    # this relabelling of the 4x4 grid do.
+    for g in (grid_graph(4, 4), grid_graph(2, 5), relabelled(grid_graph(4, 4), random.Random(22))):
+        outcomes[_check_against_bruteforce(g, frozenset(range(g.n)), 1, heuristic_td(g))] += 1
     assert kinds == {"leaf", "insert", "forget", "join"}
     assert all(outcomes.values()), outcomes
 
@@ -594,10 +551,13 @@ MILP_CASES = {
     "pendant_cycle_15_l3": (pendant_cycle(15), 3),
     "spider_4_7_l3": (spider(4, 7), 3),
     "spider_5_6_l2": (spider(5, 6), 2),
-    # The greedy is one above the optimum on these three.
     "spider_6_4_l2": (spider(6, 4), 2),
     "spider_5_5_l3": (spider(5, 5), 3),
     "grid_3x9_l1": (grid_graph(3, 9), 1),
+    # The sweep is one above the optimum on the first and two above on the
+    # second, so the tables find the optimum below it.
+    "grid_4x7_l1": (grid_graph(4, 7), 1),
+    "grid_2x13_l1": (grid_graph(2, 13), 1),
 }
 
 
@@ -676,8 +636,9 @@ def test_origins_match_reference():
 def _dropped_node_cases():
     """Graphs with many nodes that are never candidate origins, each with
     seeded random targets at every ell: random graphs with pendants, with
-    true twins, pendant cycles of up to 12 nodes and spiders, on which the
-    greedy is sometimes above the optimum."""
+    true twins, pendant cycles of up to 12 nodes and spiders; and 2x5
+    grids with a true twin, every node a target, at ell=1, on which the
+    sweep needs 4 and the optimum is 3."""
     rng = random.Random(1414)
     graphs = []
     for _ in range(40):
@@ -690,6 +651,9 @@ def _dropped_node_cases():
         for ell in range(1, g.n):
             targets = frozenset(v for v in range(g.n) if rng.random() < 0.7) or frozenset({0})
             yield g, targets, ell
+    grids = random.Random(1415)
+    for _ in range(3):
+        yield _with_true_twins(grids, relabelled(grid_graph(2, 5), grids), 1), frozenset(range(11)), 1
 
 
 @pytest.mark.parametrize("tables", [False, True])
@@ -704,9 +668,9 @@ def test_matches_bruteforce_with_dropped_origins(tables, request):
         assert opt == solve_bf(g, targets, ell)[0], case
         assert len(witness) == opt and is_feasible(g, witness, targets, ell), case
         assert stats["origins"] == len(_reference_origins(g)) < g.n, case
+        # The sweep, the search and the tables pick candidates only.
+        assert witness <= _reference_origins(g), case
         if stats["upper_bound"] > 2:
-            # A witness from the search or the tables holds only candidates.
-            assert witness <= _reference_origins(g) or opt == stats["upper_bound"], case
             assert bool(stats["table_sizes"]) == tables, case
             below += opt < stats["upper_bound"]
         cases += 1
@@ -807,9 +771,9 @@ def _table_cases():
 
 def _solver_tables(g, targets, ell, ntd):
     """(node index, table, context) of every nice node, built as solve_dp
-    builds them but at the greedy bound ub itself, one above solve_dp's, so
-    that states of cost ub are covered too."""
-    ub, _ = _greedy_upper_bound(g, targets, ell)
+    builds them but at the sweep's bound ub itself, one above solve_dp's,
+    so that states of cost ub are covered too."""
+    ub = len(_swept(g, targets, ell))
     origins = _origins(g)
     return list(_tables(g, ntd, targets, ub, _label_bounds(g, ell, origins, targets), origins))
 
@@ -861,8 +825,9 @@ def test_sweeps_during_a_build_keep_optima_and_table_sizes(monkeypatch, request)
     # grows past PRUNE_TRIGGER entries.  At a trigger of 3 these sweeps run
     # on small graphs, and they may drop only what the sweep after the
     # table drops anyway: optima and the per-node table sizes solve_dp
-    # reports stay the same.  The grids and the prism settle at ub <= 2, so
-    # their tables are built as _solver_tables builds them.
+    # reports stay the same.  The grids and the prism settle at ub == 2
+    # by the search for a lone origin, so their tables are built as
+    # _solver_tables builds them.
     request.getfixturevalue("dp_tables")
     rng = random.Random(3141)
     cases = []
@@ -964,24 +929,25 @@ def test_packing_bound_and_sweep_are_sound(monkeypatch):
     for rng, g, targets, ell in _bound_cases():
         case = (g.edges, sorted(targets), ell)
         tmask = sum(1 << v for v in targets)
-        lb = _packing_bound(g, tmask, ell)
+        order = _deepest_first(g, tmask)
+        lb = _packing_bound(g, order, ell)
         opt = solve_bf(g, targets, ell)[0] if targets else 0
         assert lb <= opt, case
         # A component without targets adds nothing.
         k = rng.randint(1, 4)
         extra = random_graph(rng, k, 0.5).edges
         wider = Graph(g.n + k, [*g.edges, *((g.n + u, g.n + v) for u, v in extra)])
-        assert _packing_bound(wider, tmask, ell) == lb, case
-        for cap in (lb, g.n):
-            swept = _sweep(g, tmask, ell, _origins(g), cap)
-            if swept is not None:
-                assert len(swept) <= cap and _observes_all(g, swept, targets, ell), case
-        # At this limit every solve with ub > 2 pauses for the bound.
+        assert _packing_bound(wider, _deepest_first(wider, tmask), ell) == lb, case
+        swept = _sweep(g, order, tmask, ell, _origins(g))
+        assert _observes_all(g, swept, targets, ell), case
+        # With the search off, only a sweep that meets the bound spares
+        # the tables.
         stats: dict = {}
         got, witness = solve_dp(g, targets, ell, stats=stats)
-        if targets and stats["lower_bound"] == stats["upper_bound"]:
+        assert stats["upper_bound"] == len(swept) and stats["lower_bound"] == lb, case
+        if targets and lb == len(swept):
             assert got == opt and stats["table_sizes"] == [], case
-            certified += stats["upper_bound"] > 2
+            certified += lb > 2
         assert got == opt and _observes_all(g, witness, targets, ell), case
     assert certified >= 20, certified
 
@@ -1001,13 +967,13 @@ def _reference_distances(g, s):
     return dist
 
 
-def _reference_sweep(g, targets, ell, cap):
+def _reference_sweep(g, targets, ell, radius):
     """The sweep from its definition, spreading by the naive oracle: the
     targets component by component in order of their lowest id, each
     component's from the deepest BFS layer below that id up, lowest id
     first within a layer; each target still unobserved gets the candidate
-    within distance ell of it that observes it and the most targets, the
-    lowest id among equals; None once that takes more than cap."""
+    within distance radius of it (any candidate when radius is None) that
+    observes it and the most targets, the lowest id among equals."""
     order, placed = [], set()
     for s in range(g.n):
         if s not in placed:
@@ -1023,31 +989,69 @@ def _reference_sweep(g, targets, ell, cap):
     for t in order:
         if t in observed(chosen):
             continue
-        if len(chosen) == cap:
-            return None
         near = _reference_distances(g, t)
         gain = {v: len(observed(chosen | {v})) for v in _reference_origins(g)
-                if near.get(v, INF) <= ell and t in observed(chosen | {v})}
+                if (radius is None or near.get(v, INF) <= radius)
+                and t in observed(chosen | {v})}
         chosen.add(max(gain, key=lambda v: (gain[v], -v)))
     return frozenset(chosen)
 
 
 def test_sweep_picks_match_reference():
-    cases = [(g, targets, ell) for _, g, targets, ell in _bound_cases()]
+    # The sweep weighs only the candidates within 2 * ell - 1 of the target
+    # it serves; on the small cases a sweep over every candidate picks the
+    # same.
+    cases = [(g, targets, ell, True) for _, g, targets, ell in _bound_cases()]
     rng = random.Random(1729)
     for n in range(20, 41, 5):
         for g in (path_graph(n), spider(rng.randint(2, 5), n // 5),
                   attach_paths(path_graph(n // 4), 3)):
             g = relabelled(g, rng)
-            cases.extend((g, frozenset(range(g.n)), ell) for ell in (1, 2, 3, 5))
-    for g, targets, ell in cases:
-        want = _reference_sweep(g, targets, ell, g.n)
+            cases.extend((g, frozenset(range(g.n)), ell, False) for ell in (1, 2, 3, 5))
+    for g, targets, ell, small in cases:
+        want = _reference_sweep(g, targets, ell, 2 * ell - 1)
         tmask = sum(1 << v for v in targets)
-        origins = _origins(g)
         case = (g.edges, sorted(targets), ell)
-        assert _sweep(g, tmask, ell, origins, len(want)) == want, case
-        if want:
-            assert _sweep(g, tmask, ell, origins, len(want) - 1) is None, case
+        assert _sweep(g, _deepest_first(g, tmask), tmask, ell, _origins(g)) == want, case
+        if small:
+            assert _reference_sweep(g, targets, ell, None) == want, case
+
+
+def test_a_new_origin_reaches_only_2r_minus_1():
+    # Round 1 observes a new origin's closed neighborhood, and each later
+    # forcing moves a change at most two hops: a changed node, its
+    # neighbor u, then the node u forces.  So, whatever origins are already
+    # chosen, one more changes what round r observes only within distance
+    # 2r - 1 of itself.
+    rng = random.Random(2 * 1975 - 1)
+    checked = 0
+    for _ in range(1000):
+        n = rng.randint(2, 12)
+        g = random_tree(rng, n) if rng.random() < 0.5 else random_graph(rng, n, rng.uniform(0.1, 0.5))
+        ell = rng.randint(1, 4)
+        base = {v for v in range(n) if rng.random() < rng.choice((0.1, 0.25, 0.5))}
+        before = naive_times(g, base, ell)
+        for v in set(range(n)) - base:
+            after = naive_times(g, base | {v}, ell)
+            dist = _reference_distances(g, v)
+            for t in range(n):
+                for r in range(1, ell + 1):
+                    if dist.get(t, INF) > 2 * r - 1:
+                        assert (before[t] <= r) == (after[t] <= r), (g.edges, base, v, t, r)
+                        checked += t in dist
+    assert checked > 20000, checked
+    # At exactly 2 * ell - 1 it can: on the path 0-1-2-3 with a pendant 4
+    # on node 2, origin 4 leaves 3 unobserved within 2 rounds, and origin 0,
+    # three hops from 3, observes 1 in round 1, so node 2 forces 3 in round
+    # 2.  The same on a tree at ell = 3, five hops apart.
+    for edges, base, v, t, ell in (
+        ([(0, 1), (1, 2), (2, 3), (2, 4)], {4}, 0, 3, 2),
+        ([(0, 1), (0, 2), (1, 3), (1, 7), (2, 4), (2, 6), (3, 5)], {6, 7}, 5, 4, 3),
+    ):
+        g = Graph(max(map(max, edges)) + 1, edges)
+        assert _reference_distances(g, v)[t] == 2 * ell - 1
+        assert naive_times(g, base, ell)[t] == INF
+        assert naive_times(g, base | {v}, ell)[t] == ell
 
 
 def _certified(g, ell):

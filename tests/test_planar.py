@@ -147,7 +147,7 @@ def test_ptas_ratio_on_grids():
 def test_eps_domain():
     sp = spider(2, 2)
     la = LevelAssignment((1,) * sp.n)
-    for bad in (0, -1, 2, 1.5):
+    for bad in (0, -1, 2, 1.5, "1/0", float("inf")):
         with pytest.raises(ValueError):
             ptas(sp, la, 1, bad)
     with pytest.raises(ValueError):
@@ -175,8 +175,8 @@ def test_ptas_builds_decompositions_only_for_table_blocks(monkeypatch):
 
     monkeypatch.setattr(planar, "solve_dp", solve_and_record)
     g, lv = stacked_triangles(6)
-    # At the default budget the greedy bound or the subset search settles
-    # every block.
+    # At the default budget the sweep, with its packing bound, or the
+    # subset search settles every block.
     ptas_detailed(g, lv, 1, 1)
     assert tabled and not any(tabled)
     assert built == {"heuristic_td": 0, "to_nice": 0}
