@@ -37,7 +37,7 @@ def _covers(closed: tuple[int, ...], sources: Iterable[int], tmask: int, ell: in
     first = 0
     for v in sources:
         first |= closed[v]
-    return spread(closed, first, ell, stop=tmask) & tmask == tmask
+    return any(m & tmask == tmask for m in spread(closed, first, ell))
 
 
 def first_cover(
@@ -102,7 +102,8 @@ def first_cover(
                         break
                     if h | balls[j] == tmask:
                         spreads += 1
-                        if spread(closed, f | closed[pool[j]], ell, stop=tmask) & tmask == tmask:
+                        run = spread(closed, f | closed[pool[j]], ell)
+                        if any(m & tmask == tmask for m in run):
                             chosen[d] = j
                             sets += j - i + 1
                             return frozenset(pool[k] for k in chosen)

@@ -29,11 +29,12 @@ forgotten node is still hatted.
 Tables are built only when they can pay.  solve_dp first holds a feasible
 set of size ub, the sweep's below, and a lower bound lb; at ub == lb the
 sweep's set is optimal.  Otherwise it tries the sets below ub outright,
-sizes downward from ub - 1, keeping the lexicographically first set of
-each size that observes every target.  Spreading is monotone in the origin
-set, so once no set of some size works, none of a smaller size does, and
-the last size that worked is optimal; a set of size lb is optimal too and
-ends the search.  A size above the optimum ends at an early set that works.
+sizes downward from ub - 1 but none below 2 (the sweep settles a lone
+origin, see below), keeping the lexicographically first set of each size
+that observes every target.  Spreading is monotone in the origin set, so
+once no set of some size works, none of a smaller size does, and the last
+size that worked is optimal; a set of size lb is optimal too and ends the
+search.  A size above the optimum ends at an early set that works.
 The size below it has no set that works, and the search cuts it by
 distance (see bruteforce.first_cover): a target observed within ell
 rounds lies within distance ell of an origin, so a set is spread only when
@@ -63,7 +64,9 @@ chosen, a new origin changes what round r observes only within distance
 forced in a later round by a neighbor u changes only if u or another
 neighbor of u changed in the round before, so each round moves the change
 at most two hops.  The sweep weighs only those candidates, and its pick is
-the one over all of them.
+the one over all of them.  So a lone candidate observing every target,
+which observes the first target, would be the sweep's first pick, and
+ub == 1: at ub >= 2 no lone origin works.
 
 Only some nodes are offered as origins.  An origin's one effect is to
 observe its closed neighborhood in round 1, and every later round depends
@@ -91,7 +94,7 @@ from operator import itemgetter, le
 
 from powerdom.bruteforce import Budget, BudgetSpent, first_cover
 from powerdom.graphs import Graph, ball
-from powerdom.propagation import is_feasible, spread
+from powerdom.propagation import is_feasible, propagate, spread
 from powerdom.treedecomp import (NiceTreeDecomposition, TreeDecomposition, heuristic_td,
                                  to_nice, validate_td)
 
@@ -274,23 +277,6 @@ def _prune_dominated(table: dict, ctx: BagContext) -> None:
         del table[state]
 
 
-def _rounds(closed: tuple[int, ...], base: int, ell: int) -> list[int] | None:
-    """The observed mask after each round of the run whose first round
-    observes base, for spread's `base`; None at ell == 1, where one round
-    is the first round alone, with nothing to re-run."""
-    if ell == 1:
-        return None
-    times = [0] * len(closed)
-    spread(closed, base, ell, times)
-    rounds = [0] * ell
-    for v, t in enumerate(times):
-        if t:
-            rounds[t - 1] |= 1 << v
-    for r in range(1, ell):
-        rounds[r] |= rounds[r - 1]
-    return rounds
-
-
 def _deepest_first(g: Graph, tmask: int) -> list[int]:
     """The nodes of tmask, component by component in order of their lowest
     id, each component's from the deepest BFS layer below that id up, the
@@ -335,29 +321,27 @@ def _sweep(g: Graph, order: list[int], tmask: int, ell: int, origins: int) -> fr
     first target t of order left unobserved gets the candidate that, added
     to those chosen, observes t and the most targets, the lowest id among
     equals.  Only candidates within distance 2 * ell - 1 of t can observe
-    it (see the module docstring).  The chosen set's run is spread once per
-    pick, and each candidate re-runs it only where its extra origin
-    reaches."""
+    it (see the module docstring).  Each candidate re-runs the chosen
+    set's run only where its extra origin reaches, and the pick's run is
+    the next base."""
     closed = g.closed_masks()
     chosen: list[int] = []
-    base = 0  # union of the chosen nodes' closed neighborhoods
-    observed = 0
+    rounds = [0]  # the chosen set's run, round by round
     for t in order:
-        if observed >> t & 1:
+        if rounds[-1] >> t & 1:
             continue
-        rounds = _rounds(closed, base, ell)
         pool = ball(closed, 1 << t, 2 * ell - 1) & origins
         top = -1
         while pool:
             low = pool & -pool
             pool ^= low
             v = low.bit_length() - 1
-            seen = spread(closed, base | closed[v], ell, None, tmask, rounds)  # times, stop, base
-            hit = (seen & tmask).bit_count()
-            if hit > top and seen >> t & 1:
-                top, best, observed = hit, v, seen
+            run = list(spread(closed, rounds[0] | closed[v], ell, rounds))
+            hit = (run[-1] & tmask).bit_count()
+            if hit > top and run[-1] >> t & 1:
+                top, best, picked = hit, v, run
         chosen.append(best)
-        base |= closed[best]
+        rounds = picked
     return frozenset(chosen)
 
 
@@ -415,10 +399,8 @@ def _label_bounds(g: Graph, ell: int, origins: int, targets: frozenset[int]) -> 
         mask, nodes = comps[u]
         if not origins >> u & 1 or not tmask & mask:
             continue
-        times = [INF] * g.n
-        observed = spread(closed, closed[u], ell, times)
-        times[u] = 0
-        if not tmask & mask & ~observed:
+        times = propagate(g, (u,), ell).times
+        if all(times[v] < INF for v in nodes if tmask >> v & 1):
             alone |= mask
             for v in nodes:
                 if lone[v] < times[v] < INF:
@@ -451,9 +433,9 @@ def solve_dp(
     when nothing smaller exists.  A dict passed as stats receives the
     packing lower bound, the upper bound (the size of the sweep's set),
     the number of candidate origins, the full-size sets the subset search
-    reached over all its sizes, and per-nice-node table sizes, in post
-    order, an empty list when no tables were built.  Passing stats changes
-    none of the solve's steps.
+    reached over all its sizes (ub - 1 down to lb, none below 2), and
+    per-nice-node table sizes, in post order, an empty list when no tables
+    were built.  Passing stats changes none of the solve's steps.
     """
     targets = frozenset(targets)
     if not targets <= frozenset(range(g.n)):
@@ -478,13 +460,14 @@ def solve_dp(
     sizes: list[int] = []
     budget = Budget(SEARCH_BUDGET)
     # The sweep's set is optimal at ub == lb.  Otherwise the sets below it
-    # are tried outright, the largest first, none smaller than lb, and the
-    # tables are built only when the search runs out of budget.  They
-    # search only below the smallest set found, since a state's cost never
-    # falls towards the root.
+    # are tried outright, the largest first, none smaller than lb or 2 (a
+    # lone origin would have been the sweep's first pick), and the tables
+    # are built only when the search runs out of budget.  They search only
+    # below the smallest set found, since a state's cost never falls
+    # towards the root.
     spent = False
     try:
-        for size in range(ub - 1, lb - 1, -1):
+        for size in range(ub - 1, max(lb, 2) - 1, -1):
             found = first_cover(g.closed_masks(), size, tmask, ell, cands, budget)
             if found is None:
                 break

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable
+from typing import Iterable, Iterator
 
 from powerdom.graphs import Graph
 
@@ -34,47 +34,33 @@ def spread(
     closed: tuple[int, ...],
     first: int,
     k: int,
-    times: list[float] | None = None,
-    stop: int = 0,
     base: list[int] | None = None,
-) -> int:
-    """Observed mask after k rounds whose first round observes `first`.
+) -> Iterator[int]:
+    """Yield the observed mask after each round, round 1 observing `first`,
+    up to round k or the fixed point, whichever comes first.
 
     closed[v] is the bitmask of v's closed neighborhood.  Round 2 checks
     every observed node; a later round checks only the observed nodes in
     the closed neighborhood of a node observed the round before, since no
     other node's count of unobserved closed neighbors can have changed.
-    When `times` is given, times[v] is set to the round v is first
-    observed, 1 for every node of `first`.  Stops early once a round adds
-    nothing, or once every bit of a nonzero `stop` is observed.
+    Each round is run only when its mask is asked for, so a caller that
+    stops reading, say once its targets are observed, stops the run.
 
     `base` re-runs a nearby run by its difference: base[i] is the observed
     mask after round i+1 of a run, to k rounds or to its fixed point, whose
-    first round base[0] is contained in `first`.  By monotonicity every
-    forcing of that run happens here too, so round r+1 starts from base[r]
-    and checks only the observed nodes whose closed neighborhood meets
-    `extra`, the nodes observed here but not in the base run after round r;
-    any other node sees what it saw in the base run.  Once `extra` is empty
-    the base run's masks are the answer.  `times` is not kept in this mode.
+    first round base[0] is contained in `first`, such as the list of a
+    spread's masks.  By monotonicity every forcing of that run happens here
+    too, so round r+1 starts from base[r] and checks only the observed
+    nodes whose closed neighborhood meets `extra`, the nodes observed here
+    but not in the base run after round r; any other node sees what it saw
+    in the base run.  Once `extra` is empty the run follows the base run.
     """
-    if base is not None and times is not None:
-        raise ValueError("spread keeps no times when given a base run")
-    cur = first
-    if times is not None:
-        m = first
-        while m:
-            low = m & -m
-            m ^= low
-            times[low.bit_length() - 1] = 1
-    check = first
-    r = 1
-    while r < k and not (stop and cur & stop == stop):
+    cur = check = first
+    yield cur
+    for r in range(1, k):
         nxt = cur
         if base is not None:
             extra = cur & ~base[min(r, len(base)) - 1]
-            if not extra:
-                tail = base[r - 1:] or base[-1:]
-                return next((b for b in tail if stop and b & stop == stop), tail[-1])
             check = 0
             while extra:
                 low = extra & -extra
@@ -92,21 +78,16 @@ def spread(
                 nxt |= rem
         new = nxt ^ cur
         if not new:
-            break
-        r += 1
+            return
         cur = nxt
-        if base is not None:
-            continue
-        check = 0
-        while new:
-            low = new & -new
-            new ^= low
-            v = low.bit_length() - 1
-            check |= closed[v]
-            if times is not None:
-                times[v] = r
-        check &= cur
-    return cur
+        yield cur
+        if base is None:
+            check = 0
+            while new:
+                low = new & -new
+                new ^= low
+                check |= closed[low.bit_length() - 1]
+            check &= cur
 
 
 def _first_round(g: Graph, src: frozenset[int], k: int) -> int:
@@ -130,7 +111,14 @@ def propagate(g: Graph, sources: Iterable[int], k: int) -> PropagationTrace:
     src = frozenset(sources)
     first = _first_round(g, src, k)
     times: list[float] = [INF] * g.n
-    spread(g.closed_masks(), first, k, times)
+    seen = 0
+    for r, mask in enumerate(spread(g.closed_masks(), first, k), 1):
+        new = mask ^ seen
+        seen = mask
+        while new:
+            low = new & -new
+            new ^= low
+            times[low.bit_length() - 1] = r
     for v in src:
         times[v] = 0
     return PropagationTrace(times=tuple(times), rounds_run=k)
@@ -143,7 +131,5 @@ def is_feasible(g: Graph, sources: Iterable[int], targets: Iterable[int], ell: i
         if not (0 <= v < g.n):
             raise ValueError(f"target {v} out of range")
         tmask |= 1 << v
-    if not tmask:
-        return True
     first = _first_round(g, frozenset(sources), ell)
-    return spread(g.closed_masks(), first, ell, stop=tmask) & tmask == tmask
+    return any(m & tmask == tmask for m in spread(g.closed_masks(), first, ell))

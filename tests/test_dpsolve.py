@@ -940,6 +940,9 @@ def test_packing_bound_and_sweep_are_sound(monkeypatch):
         assert _packing_bound(wider, _deepest_first(wider, tmask), ell) == lb, case
         swept = _sweep(g, order, tmask, ell, _origins(g))
         assert _observes_all(g, swept, targets, ell), case
+        # A lone origin that works is the sweep's first pick, so solve_dp
+        # never searches size 1.
+        assert (len(swept) <= 1) == (opt <= 1), case
         # With the search off, only a sweep that meets the bound spares
         # the tables.
         stats: dict = {}

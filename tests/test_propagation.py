@@ -109,6 +109,11 @@ def test_is_feasible_spider_identity():
 def test_is_feasible_empty_targets():
     g = path_graph(3)
     assert is_feasible(g, set(), set(), 1)
+    # No targets still means checked sources and round budget.
+    with pytest.raises(ValueError):
+        is_feasible(g, [99], [], 1)
+    with pytest.raises(ValueError):
+        is_feasible(g, [0], [], 0)
 
 
 def test_is_feasible_rejects_out_of_range_targets():
@@ -134,17 +139,13 @@ def test_every_round_budget_matches_naive_oracle(rnd, n):
         assert _covers(g.closed_masks(), sources, tmask, k) == feasible
 
 
-def _round_masks(closed, first, k, pad):
-    """Observed mask after each round of the plain run from `first`: k of
-    them when `pad`, else only up to the run's fixed point."""
-    times = [0] * len(closed)
-    spread(closed, first, k, times)
-    rounds = [0] * (k if pad else max(times) or 1)
-    for v, t in enumerate(times):
-        if t:
-            rounds[t - 1] |= 1 << v
-    for r in range(1, len(rounds)):
-        rounds[r] |= rounds[r - 1]
+def _oracle_rounds(g, sources, k):
+    """Observed mask after each round from `sources` by the naive oracle,
+    up to round k or the run's fixed point."""
+    times = naive_times(g, sources, k)
+    rounds = [sum(1 << v for v, t in enumerate(times) if t <= r) for r in range(1, k + 1)]
+    while len(rounds) > 1 and rounds[-1] == rounds[-2]:
+        rounds.pop()
     return rounds
 
 
@@ -155,18 +156,33 @@ def test_spread_from_a_base_run_matches_plain_spread(seed, n, pad):
     g = random_graph(rnd, n, rnd.uniform(0.1, 0.6))
     closed = g.closed_masks()
     k = rnd.randint(1, n + 1)
+    sources = [v for v in range(n) if rnd.random() < 0.2]
     inner = 0
-    for v in range(n):
-        if rnd.random() < 0.2:
-            inner |= closed[v]
+    for v in sources:
+        inner |= closed[v]
+    rounds = _oracle_rounds(g, sources, k)
+    assert list(spread(closed, inner, k)) == rounds
+    if pad:
+        rounds += rounds[-1:] * (k - len(rounds))
     first = inner | sum(1 << v for v in range(n) if rnd.random() < 0.1)
-    rounds = _round_masks(closed, inner, k, pad)
-    # A stop met by the base run part-way tests the hand-over to its masks.
-    stops = (0, sum(1 << v for v in range(n) if rnd.random() < 0.5), rnd.choice(rounds))
-    for s in stops:
-        assert spread(closed, first, k, stop=s, base=rounds) == spread(closed, first, k, stop=s)
-    with pytest.raises(ValueError):
-        spread(closed, first, k, [0] * n, base=rounds)
+    for f in (inner, first):
+        assert list(spread(closed, f, k, rounds)) == list(spread(closed, f, k))
+
+
+def test_spread_runs_only_the_rounds_read():
+    # Node 3 is observed in round 3 of the run from node 0 on a 2,000-node
+    # path; reading no further leaves the rest of the path unlooked at.
+    closed = path_graph(2000).closed_masks()
+    reads = 0
+
+    class Counted(tuple):
+        def __getitem__(self, i):
+            nonlocal reads
+            reads += 1
+            return tuple.__getitem__(self, i)
+
+    assert any(m >> 3 & 1 for m in spread(Counted(closed), closed[0], 2000))
+    assert reads < 10, reads
 
 
 def test_long_path_times_are_distances():
