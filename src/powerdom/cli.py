@@ -18,27 +18,10 @@ import sys
 import time
 from contextlib import contextmanager
 
+# Other layers load in the handlers that run them.  The benchmark's tracer wraps
+# parse_graph, solve_bf, propagate, is_feasible, heuristic_td and parse_td here.
 from .bruteforce import NODE_LIMIT, solve_bf
-from .dpsolve import solve_dp
-from .generators import (
-    attach_paths,
-    minrep_to_pds,
-    parse_minrep,
-    pendant_cycle,
-    spider,
-)
 from .graphs import Graph, emit_graph, parse_graph, parse_id, records
-from .ipmodels import (
-    IpModel,
-    build_ip_ell,
-    build_ip_ordering,
-    check_assignment,
-    emit_lp,
-    objective_value,
-    parse_solution,
-)
-from .orientation import parse_orientation, validate
-from .planar import parse_levels, ptas_detailed, validate_levels
 from .propagation import INF, is_feasible, propagate
 from .treedecomp import emit_td, heuristic_td, parse_td
 
@@ -105,9 +88,13 @@ def _require_ell(args) -> int:
 
 def _cmd_solve(args) -> int:
     ell = _require_ell(args)
+    levels = None
     with _read(args.graph) as text:
         g = parse_graph(text)
-        levels = parse_levels(text, g.n) if args.method == "ptas" else None
+        if args.method == "ptas":
+            from .planar import parse_levels, ptas_detailed
+
+            levels = parse_levels(text, g.n)
     if args.td is not None and args.method != "dp":
         raise CliError("--td only applies to --method dp")
     if args.eps is not None and args.method != "ptas":
@@ -126,6 +113,8 @@ def _cmd_solve(args) -> int:
         assert solved is not None
         opt, witness = solved
     elif args.method == "dp":
+        from .dpsolve import solve_dp
+
         td = None
         if args.td is not None:
             with _read(args.td) as text:
@@ -188,6 +177,8 @@ def _cmd_closure(args) -> int:
 
 
 def _cmd_verify_orientation(args) -> int:
+    from .orientation import parse_orientation, validate
+
     ell = _require_ell(args)
     g = _load_graph(args.graph)
     targets = _parse_targets(args.targets, g.n)
@@ -215,6 +206,8 @@ def _int_params(params: list[str], arity: int, usage: str) -> list[int]:
 
 
 def _cmd_gen(args) -> int:
+    from .generators import attach_paths, minrep_to_pds, parse_minrep, pendant_cycle, spider
+
     fam = args.family
     params = args.params
     if fam == "spider":
@@ -240,7 +233,9 @@ def _cmd_gen(args) -> int:
     return 0
 
 
-def _build_model(args, g: Graph) -> IpModel:
+def _build_model(args, g: Graph) -> "IpModel":
+    from .ipmodels import build_ip_ell, build_ip_ordering
+
     if args.kind == "ell":
         ell = _require_ell(args)
         return build_ip_ell(g, ell, args.valid_ineqs)
@@ -250,12 +245,16 @@ def _build_model(args, g: Graph) -> IpModel:
 
 
 def _cmd_emit_ip(args) -> int:
+    from .ipmodels import emit_lp
+
     g = _load_graph(args.graph)
     sys.stdout.write(emit_lp(_build_model(args, g), relax=args.relax))
     return 0
 
 
 def _cmd_check_ip(args) -> int:
+    from .ipmodels import check_assignment, objective_value, parse_solution
+
     g = _load_graph(args.graph)
     model = _build_model(args, g)
     with _read(args.solution) as text:
@@ -277,6 +276,8 @@ def _cmd_td(args) -> int:
 
 
 def _cmd_levels(args) -> int:
+    from .planar import parse_levels, validate_levels
+
     with _read(args.graph) as text:
         g = parse_graph(text)
         la = parse_levels(text, g.n)

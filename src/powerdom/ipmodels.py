@@ -64,6 +64,18 @@ class IpModel:
     constraints: tuple[Constraint, ...]
 
 
+# Largest model the builders make, in coefficients over all its rows (about
+# 0.4 KB each, built and written); counted before any row is built.
+MAX_COEFFS = 10**6
+
+
+def _check_size(coeffs: int) -> None:
+    if coeffs > MAX_COEFFS:
+        raise ValueError(
+            f"the model would have {coeffs} coefficients, over the limit {MAX_COEFFS}"
+        )
+
+
 def _closed_without(g: Graph, u: int, v: int) -> list[int]:
     # N[u] minus v; u itself stays in, so the list has deg(u) entries.
     return sorted(w for w in set(g.adjacency[u]) | {u} if w != v)
@@ -100,6 +112,11 @@ def build_ip_ell(g: Graph, ell: int, with_valid_ineqs: bool = False) -> IpModel:
     if ell < 1:
         raise ValueError("ell must be at least 1")
     n = g.n
+    # Families (1)-(4), then (6) and (7).
+    coeffs = n + 2 * ell * (g.m + n + sum(g.degree(v) ** 2 for v in range(n)))
+    if with_valid_ineqs and n > 0:
+        coeffs += (2 * ell - 1) * n
+    _check_size(coeffs)
     rounds = range(1, ell + 1)
     cons: list[Constraint] = []
     for v in range(n):
@@ -142,6 +159,12 @@ def build_ip_ordering(g: Graph, with_valid_ineq: bool = False) -> IpModel:
     if g.n < 1:
         raise ValueError("ordering model needs at least one node")
     n = g.n
+    sq = sum(g.degree(v) ** 2 for v in range(n))  # even, as the degree sum is
+    # Families (1)-(4), then (6).
+    coeffs = 2 * n * n + (n - 1) * (sq * (n + 4) // 2 + 2 * (g.m + n))
+    if with_valid_ineq:
+        coeffs += (n - 1) * 2 * g.m
+    _check_size(coeffs)
     rounds = range(1, n + 1)
     cons: list[Constraint] = []
     for v in range(n):

@@ -1,9 +1,14 @@
 import io
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
-from powerdom import cli
+import powerdom
+from powerdom import cli, dpsolve
 from powerdom.cli import main
 from powerdom.graphs import parse_graph
 from powerdom.propagation import is_feasible
@@ -144,6 +149,16 @@ def test_emit_ip(tmp_path, capsys):
     assert "Binary" in out
     code, relaxed, _ = run(capsys, "emit-ip", "ell", str(graph), "--ell", "1", "--relax")
     assert "Bounds" in relaxed and "Binary" not in relaxed
+
+
+def test_emit_ip_refuses_an_oversized_model(tmp_path, capsys):
+    # 10^8 rounds on the 3-node path is about 2.2 * 10^9 coefficients; the
+    # count is refused before any row is built.
+    graph = tmp_path / "p3.gr"
+    graph.write_text(P3)
+    code, out, err = run(capsys, "emit-ip", "ell", str(graph), "--ell", "100000000")
+    assert code == 2 and out == ""
+    assert err == "error: the model would have 2200000003 coefficients, over the limit 1000000\n"
 
 
 def test_check_ip(tmp_path, capsys):
@@ -355,8 +370,54 @@ def test_internal_errors_exit_3(spider_file, capsys, monkeypatch):
     def broken(*args, **kwargs):
         raise RuntimeError("witness reconstruction failed")
 
-    monkeypatch.setattr(cli, "solve_dp", broken)
+    monkeypatch.setattr(dpsolve, "solve_dp", broken)
     code, out, err = run(capsys, "solve", "--ell", "2", spider_file)
     assert code == 3
     assert out == ""
     assert err == "error: internal error: witness reconstruction failed\n"
+
+
+def test_cli_keeps_the_bindings_the_benchmark_traces():
+    # The benchmark's tracer (perfbench/spans.py) wraps these names on
+    # powerdom.cli itself, so dropping one of them from cli's module level,
+    # say for an import inside a handler, silently zeroes a per-layer metric.
+    for name in ("parse_graph", "solve_bf", "propagate", "is_feasible", "heuristic_td",
+                 "parse_td"):
+        assert getattr(cli, name).__name__ == name
+
+
+# What every subcommand loads: the package, the CLI, and the layers the CLI
+# binds at module level.
+CLI_MODULES = {"powerdom", "powerdom.cli", "powerdom.graphs", "powerdom.propagation",
+               "powerdom.bruteforce", "powerdom.treedecomp"}
+LOADED = (
+    "import sys\n"
+    "from powerdom import cli\n"
+    "sys.stdout = open('out.txt', 'w')\n"
+    "code = cli.main(sys.argv[1:])\n"
+    "sys.stdout = sys.__stdout__\n"
+    "print(code, *sorted(m for m in sys.modules if m.split('.')[0] == 'powerdom'))\n"
+)
+
+
+@pytest.mark.parametrize("argv, extra", [
+    (["gen", "spider", "3", "3"], {"powerdom.generators"}),
+    (["gen", "minrep", "toy.minrep"], {"powerdom.generators"}),
+    (["td", "spider.gr"], set()),
+    (["closure", "spider.gr", "--sources", "1"], set()),
+    (["solve", "--ell", "2", "--method", "bf", "spider.gr"], set()),
+    (["solve", "--ell", "2", "--method", "dp", "--td", "spider.td", "spider.gr"],
+     {"powerdom.dpsolve"}),
+])
+def test_each_subcommand_loads_only_what_it_runs(argv, extra, spider_file, tmp_path, capsys):
+    # In a fresh interpreter: gen loads no solver, and solve --method dp
+    # loads dpsolve but not planar, ipmodels or orientation.
+    (tmp_path / "spider.td").write_text(run(capsys, "td", spider_file)[1])
+    (tmp_path / "toy.minrep").write_text("minrep 1 2 1 2\ne 1 1\ne 2 2\n")
+    env = dict(os.environ, PYTHONPATH=str(Path(powerdom.__file__).parent.parent))
+    done = subprocess.run([sys.executable, "-c", LOADED, *argv], cwd=tmp_path, env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert done.stderr == ""
+    code, *loaded = done.stdout.split()
+    assert code == "0"
+    assert set(loaded) == CLI_MODULES | extra

@@ -4,6 +4,7 @@ from fractions import Fraction
 import pytest
 
 from conftest import path_graph, random_connected_graph
+from powerdom import ipmodels
 from powerdom.generators import pendant_cycle, spider
 from powerdom.graphs import Graph
 from powerdom.ipmodels import (
@@ -52,6 +53,27 @@ def test_round_model_counts():
         for c in model.constraints:
             used |= {name for name, _ in c.coeffs}
         assert used <= set(model.variables)
+
+
+@pytest.mark.parametrize("valid", [False, True])
+def test_size_limit_counts_every_coefficient(valid, monkeypatch):
+    # Both builders count their coefficients before building a row: a model
+    # of exactly MAX_COEFFS is built, one over it is refused.
+    rng = random.Random(3)
+    graphs = [Graph(1, []), Graph(4, []), path_graph(3), spider(3, 2), pendant_cycle(4)]
+    graphs += [random_connected_graph(rng, rng.randint(2, 7), 0.5) for _ in range(6)]
+    builders = [lambda g, ell=ell: build_ip_ell(g, ell, valid) for ell in (1, 2, 5)]
+    builders.append(lambda g: build_ip_ordering(g, valid))
+    for g in graphs:
+        for build in builders:
+            model = build(g)
+            size = sum(len(c.coeffs) for c in model.constraints)
+            monkeypatch.setattr(ipmodels, "MAX_COEFFS", size)
+            assert build(g) == model
+            monkeypatch.setattr(ipmodels, "MAX_COEFFS", size - 1)
+            with pytest.raises(ValueError, match=f"would have {size} coefficients"):
+                build(g)
+            monkeypatch.undo()
 
 
 def test_canonical_assignment_path():

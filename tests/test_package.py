@@ -1,6 +1,11 @@
 import ast
+import os
+import subprocess
+import sys
 from collections import Counter
 from pathlib import Path
+
+import pytest
 
 import powerdom
 
@@ -12,6 +17,23 @@ def test_public_names_resolve():
     namespace: dict = {}
     exec("from powerdom import *", namespace)
     assert set(powerdom.__all__) <= namespace.keys()
+
+
+def test_lazy_namespace():
+    # Each public name has one defining module in the lazy table, dir()
+    # lists every public name, and an unknown name fails as usual.
+    assert sorted(powerdom._MODULE_OF) == sorted(powerdom.__all__)
+    assert set(powerdom.__all__) <= set(dir(powerdom))
+    with pytest.raises(AttributeError, match="^module 'powerdom' has no attribute 'nope'$"):
+        powerdom.nope  # noqa: B018
+
+
+def test_bare_import_loads_no_solver():
+    env = dict(os.environ, PYTHONPATH=str(Path(powerdom.__file__).parent.parent))
+    script = "import sys, powerdom; print(*(m for m in sys.modules if m.startswith('powerdom')))"
+    done = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
+                          text=True, timeout=120)
+    assert done.stdout.split() == ["powerdom"]
 
 
 def test_no_unused_imports():
@@ -43,6 +65,8 @@ def test_no_unused_imports():
 # Private helpers that src/ itself never calls, each with the reason it stays.
 UNCALLED_PRIVATE = {
     "_covers": "perfbench/test_perfbench.py imports it",
+    "__getattr__": "the import system calls it (PEP 562)",
+    "__dir__": "dir() calls it (PEP 562)",
 }
 
 
