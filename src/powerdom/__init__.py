@@ -6,49 +6,7 @@ powerdom` itself loads no solver module.
 
 import importlib
 
-__all__ = [
-    "Graph",
-    "GraphFormatError",
-    "parse_graph",
-    "emit_graph",
-    "INF",
-    "PropagationTrace",
-    "propagate",
-    "is_feasible",
-    "solve_bf",
-    "solve_domset_bf",
-    "solve_dp",
-    "TimedOrientation",
-    "orientation_from_trace",
-    "origin",
-    "validate",
-    "TreeDecomposition",
-    "NiceTreeDecomposition",
-    "heuristic_td",
-    "to_nice",
-    "parse_td",
-    "validate_td",
-    "LevelAssignment",
-    "RotationSystem",
-    "compute_levels",
-    "parse_levels",
-    "ptas",
-    "ptas_detailed",
-    "MinRepInstance",
-    "spider",
-    "pendant_cycle",
-    "attach_paths",
-    "minrep_to_pds",
-    "IpModel",
-    "build_ip_ell",
-    "build_ip_ordering",
-    "canonical_assignment",
-    "check_assignment",
-    "emit_lp",
-    "parse_solution",
-]
-
-# Public name -> the submodule that defines it.
+# Public name -> the submodule that defines it; its keys are __all__.
 _MODULE_OF = {
     name: module
     for module, names in {
@@ -68,6 +26,7 @@ _MODULE_OF = {
     }.items()
     for name in names
 }
+__all__ = list(_MODULE_OF)
 
 
 def __getattr__(name: str):

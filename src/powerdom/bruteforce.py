@@ -5,7 +5,7 @@ from __future__ import annotations
 import itertools
 from typing import Iterable
 
-from powerdom.graphs import Graph, ball
+from powerdom.graphs import Graph, ball, check_rounds, node_mask
 from powerdom.propagation import spread
 
 # Largest graph either exhaustive search takes on without force=True.
@@ -126,6 +126,11 @@ def first_cover(
         budget.sets += sets
 
 
+def _check_size(g: Graph, force: bool) -> None:
+    if g.n > NODE_LIMIT and not force:
+        raise ValueError(f"refusing exhaustive search on n={g.n} > {NODE_LIMIT}; pass force=True")
+
+
 def solve_bf(
     g: Graph,
     targets: Iterable[int],
@@ -140,22 +145,12 @@ def solve_bf(
     is given and no set of at most that size works.  Guarded to small graphs
     unless force=True; the search is exponential in n.
     """
-    if ell < 1:
-        raise ValueError("round budget ell must be >= 1")
-    tgt = frozenset(targets)
-    for v in tgt:
-        if not (0 <= v < g.n):
-            raise ValueError(f"target {v} out of range")
-    if not tgt:
+    check_rounds(ell)
+    tmask = node_mask(g.n, targets, "target")
+    if not tmask:
         return 0, frozenset()
-    if g.n > NODE_LIMIT and not force:
-        raise ValueError(
-            f"refusing exhaustive search on n={g.n} > {NODE_LIMIT}; pass force=True"
-        )
+    _check_size(g, force)
     closed = g.closed_masks()
-    tmask = 0
-    for v in tgt:
-        tmask |= 1 << v
     max_size = g.n if size_cap is None else min(size_cap, g.n)
     for size in range(1, max_size + 1):
         witness = first_cover(closed, size, tmask, ell)
@@ -175,10 +170,7 @@ def solve_domset_bf(
     """
     if g.n == 0:
         return 0, frozenset()
-    if g.n > NODE_LIMIT and not force:
-        raise ValueError(
-            f"refusing exhaustive search on n={g.n} > {NODE_LIMIT}; pass force=True"
-        )
+    _check_size(g, force)
     covers = {v: frozenset(g.adjacency[v]) | {v} for v in range(g.n)}
     everything = frozenset(range(g.n))
     for size in range(1, g.n + 1):

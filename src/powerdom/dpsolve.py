@@ -93,7 +93,7 @@ from math import inf as INF
 from operator import itemgetter, le
 
 from powerdom.bruteforce import Budget, BudgetSpent, first_cover
-from powerdom.graphs import Graph, ball
+from powerdom.graphs import Graph, ball, check_rounds, node_mask
 from powerdom.propagation import is_feasible, propagate, spread
 from powerdom.treedecomp import (NiceTreeDecomposition, TreeDecomposition, heuristic_td,
                                  to_nice, validate_td)
@@ -361,9 +361,10 @@ def _origins(g: Graph) -> int:
     return keep
 
 
-def _label_bounds(g: Graph, ell: int, origins: int, targets: frozenset[int]) -> list[int]:
+def _label_bounds(g: Graph, ell: int, origins: int, tmask: int) -> list[int]:
     """Per node, the highest label a state needs to give it when only the
-    candidates, the nodes of the mask origins, may be origins.
+    candidates, the nodes of the mask origins, may be origins, and the
+    targets are the nodes of tmask.
 
     Spreading never leaves a component, so an optimal set within the
     candidates solves each component apart.  A component without targets
@@ -381,9 +382,6 @@ def _label_bounds(g: Graph, ell: int, origins: int, targets: frozenset[int]) -> 
     last case occurs.  On dense graphs this collapses the search.
     """
     closed = g.closed_masks()
-    tmask = 0
-    for v in targets:
-        tmask |= 1 << v
     comps: list[tuple[int, list[int]] | None] = [None] * g.n
     for s in range(g.n):
         if comps[s] is None:
@@ -438,19 +436,14 @@ def solve_dp(
     were built.  Passing stats changes none of the solve's steps.
     """
     targets = frozenset(targets)
-    if not targets <= frozenset(range(g.n)):
-        raise ValueError("targets must be nodes of the graph")
-    if ell < 1:
-        raise ValueError("ell must be at least 1")
+    tmask = node_mask(g.n, targets, "target")
+    check_rounds(ell)
     ell = min(ell, max(1, g.n - 1))
     if td is not None:
         bad = validate_td(g, td)
         if bad is not None:
             raise ValueError(f"decomposition does not fit the graph: {bad}")
 
-    tmask = 0
-    for v in targets:
-        tmask |= 1 << v
     origins = _origins(g)
     order = _deepest_first(g, tmask)
     lb = _packing_bound(g, order, ell)
@@ -476,7 +469,7 @@ def solve_dp(
         spent = True
     if spent:
         ntd = to_nice(td or heuristic_td(g))
-        eb = _label_bounds(g, ell, origins, targets)
+        eb = _label_bounds(g, ell, origins, tmask)
         # Each table is replaced by its back-references once built; the
         # states live on only until the parent's table is done.
         backs: list[list | None] = [None] * len(ntd.nodes)

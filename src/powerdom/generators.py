@@ -6,7 +6,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable
 
-from powerdom.graphs import MAX_NODES, Graph, GraphFormatError, parse_id, records
+from powerdom.graphs import MAX_NODES, Graph, GraphFormatError, check_rounds, parse_id, records
 
 
 def _bounded(n: int) -> int:
@@ -52,8 +52,7 @@ def attach_paths(g: Graph, ell: int) -> Graph:
     equivalent to dominating the original one: each tail consumes all ell-1
     forcing rounds.  ell=1 attaches nothing and returns g itself.
     """
-    if ell < 1:
-        raise ValueError("round budget ell must be >= 1")
+    check_rounds(ell)
     if ell == 1:
         return g
     n = _bounded(g.n * ell)

@@ -111,12 +111,27 @@ def ball(closed: tuple[int, ...], mask: int, radius: int) -> int:
     return reached
 
 
+def check_rounds(ell: int) -> None:
+    """Refuse a round budget below 1: round 1 always runs."""
+    if ell < 1:
+        raise ValueError("round budget ell must be >= 1")
+
+
+def node_mask(n: int, nodes: Iterable[int], role: str) -> int:
+    """Bitmask of `nodes`, each checked to be an id in 0..n-1; one outside
+    is refused by its role, such as "target" or "source"."""
+    mask = 0
+    for v in nodes:
+        if not 0 <= v < n:
+            raise ValueError(f"{role} {v} out of range")
+        mask |= 1 << v
+    return mask
+
+
 def induced_subgraph(g: Graph, keep: Iterable[int]) -> tuple[Graph, dict[int, int]]:
     """Subgraph induced on `keep`, with an order-preserving old->new id map."""
     kept = sorted(set(keep))
-    for v in kept:
-        if not (0 <= v < g.n):
-            raise ValueError(f"node {v} out of range")
+    node_mask(g.n, kept, "node")
     idmap = {old: new for new, old in enumerate(kept)}
     edges = [
         (idmap[u], idmap[v])

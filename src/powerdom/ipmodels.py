@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Mapping
 
-from .graphs import Graph
+from .graphs import Graph, check_rounds
 from .propagation import INF, propagate
 
 
@@ -109,8 +109,7 @@ def build_ip_ell(g: Graph, ell: int, with_valid_ineqs: bool = False) -> IpModel:
     the first round by the smallest closed neighborhood (6) and force strict
     growth per round (7).
     """
-    if ell < 1:
-        raise ValueError("ell must be at least 1")
+    check_rounds(ell)
     n = g.n
     # Families (1)-(4), then (6) and (7).
     coeffs = n + 2 * ell * (g.m + n + sum(g.degree(v) ** 2 for v in range(n)))
@@ -209,7 +208,7 @@ def canonical_assignment(
     an infeasible s is rejected instead.
     """
     origins = frozenset(s)
-    times = propagate(g, origins, ell).times if g.n else ()
+    times = propagate(g, origins, ell).times
     if INF in times:
         raise ValueError("origin set does not observe every node within the round budget")
     a: dict[str, int] = {}

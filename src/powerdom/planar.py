@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from powerdom.dpsolve import solve_dp
-from powerdom.graphs import Graph, GraphFormatError, induced_subgraph, parse_id, records
+from powerdom.graphs import Graph, GraphFormatError, check_rounds, induced_subgraph, parse_id, records
 from powerdom.propagation import is_feasible
 
 
@@ -188,8 +188,7 @@ def build_blocks(levels: LevelAssignment, i: int, k: int, ell: int) -> list[Bloc
         raise ValueError("block width k must be >= 1")
     if not (1 <= i <= k):
         raise ValueError(f"shift index {i} outside 1..{k}")
-    if ell < 1:
-        raise ValueError("round budget ell must be >= 1")
+    check_rounds(ell)
     top = levels.max_level
     if top == 0:
         return []
@@ -222,8 +221,7 @@ def ptas_detailed(g: Graph, levels: LevelAssignment, ell: int, eps) -> PtasResul
     shifts, k = 4*ceil(ell/eps).  The output is re-verified against the
     full graph before it is returned.
     """
-    if ell < 1:
-        raise ValueError("round budget ell must be >= 1")
+    check_rounds(ell)
     try:
         e = Fraction(eps)
     except (ZeroDivisionError, OverflowError):  # "1/0", an infinite float

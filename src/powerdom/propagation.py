@@ -13,7 +13,7 @@ import math
 from dataclasses import dataclass
 from typing import Iterable, Iterator
 
-from powerdom.graphs import Graph
+from powerdom.graphs import Graph, ball, check_rounds, node_mask
 
 INF = math.inf
 
@@ -90,16 +90,9 @@ def spread(
             check &= cur
 
 
-def _first_round(g: Graph, src: frozenset[int], k: int) -> int:
-    if k < 1:
-        raise ValueError("round budget k must be >= 1")
-    closed = g.closed_masks()
-    first = 0
-    for v in src:
-        if not (0 <= v < g.n):
-            raise ValueError(f"source {v} out of range")
-        first |= closed[v]
-    return first
+def _first_round(g: Graph, src: Iterable[int], k: int) -> int:
+    check_rounds(k)
+    return ball(g.closed_masks(), node_mask(g.n, src, "source"), 1)
 
 
 def propagate(g: Graph, sources: Iterable[int], k: int) -> PropagationTrace:
@@ -126,10 +119,6 @@ def propagate(g: Graph, sources: Iterable[int], k: int) -> PropagationTrace:
 
 def is_feasible(g: Graph, sources: Iterable[int], targets: Iterable[int], ell: int) -> bool:
     """Does `sources` observe every target within `ell` rounds?"""
-    tmask = 0
-    for v in targets:
-        if not (0 <= v < g.n):
-            raise ValueError(f"target {v} out of range")
-        tmask |= 1 << v
-    first = _first_round(g, frozenset(sources), ell)
+    tmask = node_mask(g.n, targets, "target")
+    first = _first_round(g, sources, ell)
     return any(m & tmask == tmask for m in spread(g.closed_masks(), first, ell))

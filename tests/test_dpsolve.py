@@ -462,7 +462,7 @@ def _root_optimum(g, targets, ell, ntd, bound):
     """The cost of the empty root's one state in tables built at bound, or
     None when the root's table is empty."""
     origins = _origins(g)
-    eb = _label_bounds(g, ell, origins, targets)
+    eb = _label_bounds(g, ell, origins, sum(1 << v for v in targets))
     *_, (_, root, _) = _tables(g, ntd, targets, bound, eb, origins)
     if not root:
         return None
@@ -720,8 +720,9 @@ def test_label_bounds_match_fixed_point_reference(seed, n):
     else:
         g = random_graph(rnd, n, rnd.uniform(0.1, 0.6))  # often disconnected
     targets = frozenset(v for v in range(n) if rnd.random() < rnd.choice((0.4, 0.8, 1)))
+    tmask = sum(1 << v for v in targets)
     for ell in range(1, max(2, n)):
-        assert _label_bounds(g, ell, _origins(g), targets) == _reference_label_bounds(
+        assert _label_bounds(g, ell, _origins(g), tmask) == _reference_label_bounds(
             g, ell, targets), (g.edges, sorted(targets), ell)
 
 
@@ -735,13 +736,14 @@ def test_label_bounds_follow_each_component():
     g = Graph(12, [(1, 3), (1, 5), (1, 7), (1, 9), (3, 6), (3, 8), (3, 10), (4, 5), (4, 7),
                    (4, 8), (4, 9), (5, 6), (7, 8), (7, 9), (8, 11)])
     targets = frozenset({0, 2, 3, 4, 5, 6, 8, 9, 10, 11})
+    tmask = sum(1 << v for v in targets)
     largest = set()
     for ell in (6, 7, 8):
         stats: dict = {}
         assert solve_dp(g, targets, ell, stats=stats)[0] == solve_bf(g, targets, ell)[0] == 3
         assert stats["table_sizes"], ell
         largest.add(max(stats["table_sizes"]))
-        assert _label_bounds(g, ell, _origins(g), targets) == _reference_label_bounds(
+        assert _label_bounds(g, ell, _origins(g), tmask) == _reference_label_bounds(
             g, ell, targets)
     assert len(largest) == 1, largest
 
@@ -775,7 +777,8 @@ def _solver_tables(g, targets, ell, ntd):
     so that states of cost ub are covered too."""
     ub = len(_swept(g, targets, ell))
     origins = _origins(g)
-    return list(_tables(g, ntd, targets, ub, _label_bounds(g, ell, origins, targets), origins))
+    eb = _label_bounds(g, ell, origins, sum(1 << v for v in targets))
+    return list(_tables(g, ntd, targets, ub, eb, origins))
 
 
 class _PlanStoreThatForgets(dict):

@@ -1,6 +1,9 @@
 import pytest
 
 from conftest import cycle_graph, path_graph
+from powerdom.bruteforce import solve_bf
+from powerdom.dpsolve import solve_dp
+from powerdom.generators import attach_paths
 from powerdom.graphs import (
     Graph,
     GraphFormatError,
@@ -8,6 +11,9 @@ from powerdom.graphs import (
     induced_subgraph,
     parse_graph,
 )
+from powerdom.ipmodels import build_ip_ell, canonical_assignment
+from powerdom.planar import LevelAssignment, build_blocks, ptas_detailed
+from powerdom.propagation import is_feasible, propagate
 
 
 def test_basic_construction():
@@ -79,3 +85,38 @@ def test_emit_levels_and_comments():
     assert "l 1 1\nl 2 2\n" in text
     with pytest.raises(ValueError):
         emit_graph(g, levels=[1])
+
+
+P3 = path_graph(3)
+FLAT = LevelAssignment((1, 1, 1))
+ROUNDS = "round budget ell must be >= 1"
+REFUSALS = {
+    "propagate ell": (lambda: propagate(P3, [0], 0), ROUNDS),
+    "is_feasible ell": (lambda: is_feasible(P3, [0], [0], 0), ROUNDS),
+    "solve_bf ell": (lambda: solve_bf(P3, [0], 0), ROUNDS),
+    "solve_dp ell": (lambda: solve_dp(P3, [0], 0), ROUNDS),
+    "ptas_detailed ell": (lambda: ptas_detailed(P3, FLAT, 0, 1), ROUNDS),
+    "build_blocks ell": (lambda: build_blocks(FLAT, 1, 4, 0), ROUNDS),
+    "build_ip_ell ell": (lambda: build_ip_ell(P3, 0), ROUNDS),
+    "attach_paths ell": (lambda: attach_paths(P3, 0), ROUNDS),
+    "canonical_assignment ell": (lambda: canonical_assignment(P3, [1], 0), ROUNDS),
+    "canonical_assignment ell on the empty graph": (
+        lambda: canonical_assignment(Graph(0, []), [], 0), ROUNDS),
+    "propagate source": (lambda: propagate(P3, [7], 1), "source 7 out of range"),
+    "is_feasible source": (lambda: is_feasible(P3, [7], [0], 1), "source 7 out of range"),
+    "is_feasible target": (lambda: is_feasible(P3, [0], [7], 1), "target 7 out of range"),
+    "solve_bf target": (lambda: solve_bf(P3, [7], 1), "target 7 out of range"),
+    "solve_dp target": (lambda: solve_dp(P3, [7], 1), "target 7 out of range"),
+    "canonical_assignment source": (
+        lambda: canonical_assignment(P3, [7], 1), "source 7 out of range"),
+}
+
+
+@pytest.mark.parametrize("case", REFUSALS)
+def test_input_rules_raise_one_message(case):
+    # Every layer states the round budget and node id rules through the
+    # same two checks, so each refusal reads the same.
+    call, message = REFUSALS[case]
+    with pytest.raises(ValueError) as err:
+        call()
+    assert str(err.value) == message
