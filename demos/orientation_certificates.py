@@ -18,11 +18,7 @@ from powerdom.propagation import propagate
 
 
 def say(bad) -> str:
-    if bad is None:
-        return "ok"
-    w = bad.where
-    loc = f"node {w + 1}" if isinstance(w, int) else f"edge {w[0] + 1}->{w[1] + 1}"
-    return f"{bad.prop} at {loc}: {bad.detail}"
+    return "ok" if bad is None else str(bad)
 
 
 def main() -> None:

@@ -187,9 +187,7 @@ def _cmd_verify_orientation(args) -> int:
     if bad is None:
         print("ok")
         return 0
-    w = bad.where
-    loc = f"node {w + 1}" if isinstance(w, int) else f"edge {w[0] + 1}->{w[1] + 1}"
-    print(f"{bad.prop} at {loc}: {bad.detail}")
+    print(bad)
     return 1
 
 

@@ -23,8 +23,8 @@ dominance.  A table is a plain dict from state to (cost, back); back indexes
 the child tables in their final, pruned order, so a child's states can be
 dropped as soon as its parent's table is built.  Leaves and the root have
 empty bags, so a leaf's table is the empty bag's one state and the root's is
-that state at the optimum's cost: a forget drops every state in which the
-forgotten node is still hatted.
+that state at the optimum's cost.  No table hats a node outside open (see
+BagContext), and insert and join enforce that.
 
 Tables are built only when they can pay.  solve_dp first holds a feasible
 set of size ub, the sweep's below, and a lower bound lb; at ub == lb the
@@ -81,10 +81,11 @@ greater size, and the subset search, the label bounds and the insert
 transitions all range over candidates only.  On a pendant cycle every
 pendant leaf is dropped.
 
-Transitions generate only states that pass is_invalid_state.  They enforce
-the clauses by construction plus targeted rechecks of whatever each step can
-newly disturb, rather than re-running the full predicate per candidate; the
-test suite audits stored tables against the predicate on small instances.
+Transitions generate only states that pass is_invalid_state.  Insert and
+join enforce the clauses by construction plus targeted rechecks of whatever
+each step can newly disturb, rather than re-running the full predicate per
+candidate; forget only projects.  The test suite audits stored tables
+against the predicate on small instances.
 """
 
 from __future__ import annotations
@@ -161,6 +162,8 @@ def is_invalid_state(ctx: BagContext, s: tuple) -> bool:
     hat, in_below, out1, out2 = s[-4:]
     if out2 & ~out1 or (hat | in_below | out1) >> n:
         return True  # masks that encode no degree pattern
+    if hat & ~ctx.open:
+        return True  # no neighbor is left to justify a hatted node
     d_in = [0] * n
     d_out = [0] * n
     for (pu, pv), e in zip(ctx.edge_pos, s):
@@ -713,37 +716,29 @@ def _forget_table(
     child: dict,
     x: int,
 ) -> dict:
-    """Back-references are child indices."""
+    """Back-references are child indices.  A projection that no valid child
+    state can fail: x is not open, so not hatted; an edge x -> j becomes j's
+    one edge in from below; and a head fed by a bag neighbor of x clears
+    1 + x's label by the child's in-bag timing clause."""
     table: dict = {}
     cm, cn = len(child_ctx.edges), len(child_ctx.nodes)
     xi = child_ctx.pos[x]
     keep = [i for i in range(cn) if i != xi]
-    old_idx = [child_ctx.edges.index(e) for e in ctx.edges]
-    head_of = _picker(old_idx + [cm + i for i in keep])
+    head_of = _picker([child_ctx.edges.index(e) for e in ctx.edges] + [cm + i for i in keep])
     below_of = _picker([cm + cn + i for i in keep])
     caps_of = _picker([cm + 2 * cn + i for i in keep])
     # x's bag edges: (child edge index, parent position of the other
-    # endpoint, child position of it, the code meaning "directed into x").
+    # endpoint, the code meaning "directed into x").
     x_edges = []
     for k, (u, v) in enumerate(child_ctx.edges):
         if u == x:
-            x_edges.append((k, ctx.pos[v], child_ctx.pos[v], EDGE_REV))
+            x_edges.append((k, ctx.pos[v], EDGE_REV))
         elif v == x:
-            x_edges.append((k, ctx.pos[u], child_ctx.pos[u], EDGE_FWD))
-    nbr_child_pos = {p for _, _, p, _ in x_edges}
-    # Surviving edges whose tail could be a neighbor of x: their heads'
-    # deadlines must clear the raised below-maximum.
-    watch = [
-        (k, pu, pv)
-        for k, (pu, pv) in ((k, child_ctx.edge_pos[k]) for k in old_idx)
-        if pu in nbr_child_pos or pv in nbr_child_pos
-    ]
+            x_edges.append((k, ctx.pos[u], EDGE_FWD))
     low = (1 << xi) - 1
     up = xi + 1
     for ci, (cstate, (ccost, _)) in enumerate(child.items()):
         hat, inb, out1, out2 = cstate[-4:]
-        if hat >> xi & 1:
-            continue  # justification can no longer arrive
         hat = hat >> up << xi | hat & low
         inb = inb >> up << xi | inb & low
         out1 = out1 >> up << xi | out1 & low
@@ -751,8 +746,7 @@ def _forget_table(
         lx = cstate[cm + xi]
         below = list(below_of(cstate))
         ncaps = list(caps_of(cstate))
-        ok = True
-        for k, j, _, into_x_code in x_edges:
+        for k, j, into_x_code in x_edges:
             e = cstate[k]
             if e != EDGE_NONE:
                 bit = 1 << j
@@ -765,28 +759,10 @@ def _forget_table(
                     # origins observe their neighborhoods unconditionally.
                     if lx >= 2 and 1 - lx > ncaps[j]:
                         ncaps[j] = 1 - lx  # the cap lx - 1, negated
-                elif inb & bit:
-                    ok = False
-                    break
                 else:
                     inb |= bit
             if below[j] < lx:
                 below[j] = lx
-        if ok and lx >= 1:
-            # x now counts toward its neighbors' below-maxima; heads fed by
-            # those neighbors must still clear 1 + lx.
-            for k, pu, pv in watch:
-                e = cstate[k]
-                if e == EDGE_NONE:
-                    continue
-                pt, ph = (pu, pv) if e == EDGE_FWD else (pv, pu)
-                if pt in nbr_child_pos:
-                    hv = cstate[cm + ph]
-                    if hv > 1 and hv < 1 + lx:
-                        ok = False
-                        break
-        if not ok:
-            continue
         state = head_of(cstate) + tuple(below) + tuple(ncaps) + (hat, inb, out1, out2)
         cur = table.get(state)
         if cur is None or ccost < cur[0]:

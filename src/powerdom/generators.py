@@ -92,9 +92,9 @@ class MinRepInstance:
         seen = set()
         for a, b in self.edges:
             if not (0 <= a < self.n_a and 0 <= b < self.n_b):
-                raise ValueError(f"edge ({a}, {b}) out of range")
+                raise ValueError(f"edge ({a + 1}, {b + 1}) out of range")
             if (a, b) in seen:
-                raise ValueError(f"duplicate edge ({a}, {b})")
+                raise ValueError(f"duplicate edge ({a + 1}, {b + 1})")
             seen.add((a, b))
 
     @property

@@ -28,11 +28,13 @@ class TimedOrientation:
 @dataclass(frozen=True)
 class Violation:
     prop: str
-    where: int | tuple[int, int]
+    where: int | tuple[int, int]  # 0-based ids; str() names them 1-based
     detail: str
 
     def __str__(self) -> str:
-        return f"{self.prop} at {self.where}: {self.detail}"
+        w = self.where
+        loc = f"node {w + 1}" if isinstance(w, int) else f"edge {w[0] + 1}->{w[1] + 1}"
+        return f"{self.prop} at {loc}: {self.detail}"
 
 
 def origin(to: TimedOrientation) -> frozenset[int]:
@@ -45,13 +47,17 @@ def _check_edge_partition(g: Graph, to: TimedOrientation) -> None:
     for u, v in to.directed:
         e = (u, v) if u < v else (v, u)
         if e in as_undirected:
-            raise ValueError(f"edge {e} directed twice")
+            raise ValueError(f"edge ({e[0] + 1}, {e[1] + 1}) directed twice")
         as_undirected.add(e)
     overlap = as_undirected & set(to.undirected)
     if overlap:
-        raise ValueError(f"edge {min(overlap)} both directed and undirected")
-    if as_undirected | set(to.undirected) != set(g.edges):
-        raise ValueError("orientation edge set does not match the graph")
+        u, v = min(overlap)
+        raise ValueError(f"edge ({u + 1}, {v + 1}) both directed and undirected")
+    given = as_undirected | set(to.undirected)
+    if given != set(g.edges):
+        u, v = e = min(given ^ set(g.edges))
+        raise ValueError(f"orientation edge set does not match the graph: edge ({u + 1}, "
+                         f"{v + 1}) {'is not in the graph' if e in given else 'is missing'}")
 
 
 def validate(g: Graph, to: TimedOrientation, targets) -> Violation | None:

@@ -30,7 +30,7 @@ class TreeDecomposition:
         adj: list[list[int]] = [[] for _ in range(nb)]
         for i, j in self.tree:
             if not (0 <= i < nb and 0 <= j < nb) or i == j:
-                raise ValueError(f"bad tree edge ({i}, {j})")
+                raise ValueError(f"bad tree edge ({i + 1}, {j + 1})")
             adj[i].append(j)
             adj[j].append(i)
         seen = {0}

@@ -364,6 +364,63 @@ def test_usage_errors(tmp_path, capsys, spider_file):
     assert code == 2
 
 
+# Files a CLI_CASES command line may name, written to its working directory.
+CLI_FILES = {
+    "p3.gr": P3,
+    "leveled.gr": P3 + "l 1 1\nl 2 2\nl 3 3\n",
+    "jump.gr": P3 + "l 1 1\nl 2 1\nl 3 3\n",
+    "targets": "1\n",
+    "sources": "1\n",
+    "twice.orient": "d 1 2\nd 2 1\nu 2 3\n",
+    "both.orient": "d 1 2\nu 1 2\nu 2 3\n",
+    "short.orient": "d 1 2\n",
+    "extra.orient": "d 1 2\nu 2 3\nu 1 3\n",
+    "loop.td": "s td 2 3 3\nb 1 1 2 3\nb 2 1\n2 2\n",
+    "twice.minrep": "minrep 1 1 1 1\ne 1 1\ne 1 1\n",
+}
+
+# argv, exit code, and a fragment of what the command prints: on stderr
+# for exit code 2, on stdout otherwise.  Ids in refusals are 1-based.
+CLI_CASES = [
+    (["solve", "--ell", "0", "p3.gr"], 2, "--ell must be at least 1"),
+    (["solve", "--ell", "1", "--method", "ptas", "leveled.gr"], 2,
+     "--eps is required with --method ptas"),
+    (["solve", "--ell", "1", "--method", "ptas", "--eps", "1", "--targets", "targets",
+      "leveled.gr"], 2, "--targets must be 'all'"),
+    (["solve", "--ell", "1", "--method", "ptas", "--eps", "1", "p3.gr"], 2,
+     "p3.gr: no level lines"),
+    (["solve", "--ell", "1", "missing.gr"], 2, "missing.gr: No such file or directory"),
+    (["solve", "--ell", "1", "--td", "loop.td", "p3.gr"], 2, "bad tree edge (2, 2)"),
+    (["gen", "spider", "3", "x"], 2, "expected gen spider <m> <k>"),
+    (["gen", "attach-paths"], 2, "expected gen attach-paths <ell> [graph-file]"),
+    (["gen", "minrep", "a", "b"], 2, "expected gen minrep [instance-file]"),
+    (["gen", "minrep", "twice.minrep"], 2, "duplicate edge (1, 1)"),
+    (["levels", "jump.gr"], 1, "edge {2, 3} spans levels 1 and 3"),
+    (["solve", "--method", "magic", "p3.gr"], 2, "invalid choice: 'magic'"),
+    (["closure", "p3.gr", "--sources", "sources"], 0, "1 0\n2 1\n3 2\n"),
+    (["emit-ip", "ordering", "p3.gr"], 0, "Minimize"),
+    (["verify-orientation", "p3.gr", "twice.orient", "--ell", "1"], 2,
+     "edge (1, 2) directed twice"),
+    (["verify-orientation", "p3.gr", "both.orient", "--ell", "1"], 2,
+     "edge (1, 2) both directed and undirected"),
+    (["verify-orientation", "p3.gr", "short.orient", "--ell", "1"], 2,
+     "does not match the graph: edge (2, 3) is missing"),
+    (["verify-orientation", "p3.gr", "extra.orient", "--ell", "1"], 2,
+     "does not match the graph: edge (1, 3) is not in the graph"),
+]
+
+
+@pytest.mark.parametrize("argv, code, fragment", CLI_CASES)
+def test_command_lines(argv, code, fragment, tmp_path, capsys, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    for name, text in CLI_FILES.items():
+        (tmp_path / name).write_text(text)
+    got, out, err = run(capsys, *argv)
+    assert got == code, (out, err)
+    assert fragment in (err if code == 2 else out)
+    assert (out if code == 2 else err) == ""
+
+
 def test_internal_errors_exit_3(spider_file, capsys, monkeypatch):
     # A solver's failed self-check is neither a usage error (2) nor an
     # infeasible result (1): one stderr line and exit code 3.

@@ -24,8 +24,10 @@ from conftest import (
 from powerdom import dpsolve
 from powerdom.bruteforce import solve_bf
 from powerdom.dpsolve import (
+    EDGE_NONE,
     NO_CAP,
     UNOBSERVED,
+    BagContext,
     _deepest_first,
     _insert_may_dominate,
     _join_table,
@@ -350,7 +352,9 @@ def test_tables_never_hold_invalid_states(monkeypatch):
     # Rebuild the solver's tables with its own table builder and audit
     # every stored entry against the validity predicate, both as the solver
     # keeps them and with dominance pruning off, so that every state the
-    # transitions generate is audited too.
+    # transitions generate is audited too: on the min-fill decomposition
+    # with every node a target, and on a random decomposition with random
+    # targets.
     for prune in (True, False):
         if not prune:
             monkeypatch.setattr(dpsolve, "_prune_dominated", lambda *args: None)
@@ -360,16 +364,28 @@ def test_tables_never_hold_invalid_states(monkeypatch):
             n = rng.randint(2, 6)
             g = random_connected_graph(rng, n, 0.5)
             ell = rng.randint(1, n - 1)
-            targets = frozenset(range(n))
-            ntd = to_nice(heuristic_td(g))
-            ub = len(_swept(g, targets, ell))
-            # Every node as a possible origin, and the solver's candidates.
-            for origins in ((1 << n) - 1, _origins(g)):
-                for _, table, ctx in _tables(g, ntd, targets, ub, [ell] * n, origins):
-                    for state in table:
-                        assert not is_invalid_state(ctx, state)
-                    audited += len(table)
+            some = frozenset(v for v in range(n) if rng.random() < 0.7)
+            for td, targets in ((heuristic_td(g), frozenset(range(n))),
+                                (random_decomposition(rng, g), some)):
+                ntd = to_nice(td)
+                ub = len(_swept(g, targets, ell))
+                # Every node as a possible origin, and the solver's candidates.
+                for origins in ((1 << n) - 1, _origins(g)):
+                    for _, table, ctx in _tables(g, ntd, targets, ub, [ell] * n, origins):
+                        for state in table:
+                            assert not is_invalid_state(ctx, state)
+                        audited += len(table)
         assert audited > 1000
+
+
+def test_no_state_hats_a_node_without_unseen_neighbors():
+    # On the path 0 - 1 - 2, the bag {0, 1} with origin 0 and node 1 hatted
+    # at label 1: the hat is a promise that node 2 justifies node 1 later,
+    # which holds only while node 2 is unseen.
+    g = path_graph(3)
+    state = (EDGE_NONE, 0, 1, 0, 0, -NO_CAP, -NO_CAP, 0b10, 0, 0, 0)
+    assert not is_invalid_state(BagContext(g, {0, 1}, frozenset(range(3)), 0b011), state)
+    assert is_invalid_state(BagContext(g, {0, 1}, frozenset(range(3)), 0b111), state)
 
 
 def test_join_refuses_two_justifying_edges():

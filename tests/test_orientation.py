@@ -45,6 +45,7 @@ def test_double_in_degree_violates_p2():
     to = TimedOrientation(frozenset({(0, 1), (2, 1)}), frozenset(), (0, 1, 0), 2)
     bad = validate(g, to, range(g.n))
     assert bad is not None and bad.prop == "P2" and bad.where == 1
+    assert str(bad) == "P2 at node 2: label 1 but in-degree 2"
 
 
 def test_unobserved_target_violates_p1():
@@ -77,12 +78,13 @@ def test_wrong_timing_violates_p5():
     )
     bad = validate(g, to, range(g.n))
     assert bad is not None and bad.prop == "P5" and bad.where == (1, 2)
+    assert str(bad) == "P5 at edge 2->3: label 1, timing rule requires 2"
 
 
 def test_edge_partition_is_enforced():
     g = path_graph(3)
     to = TimedOrientation(frozenset({(0, 1)}), frozenset(), (0, 1, INF), 1)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"edge \(2, 3\) is missing"):
         validate(g, to, set())
 
 
