@@ -57,16 +57,20 @@ distance-ell dominating set (Meir and Moon 1975), which on paths is the
 optimum.  Their deepest-first rule gives the incumbent: a sweep in the same
 order gives the first target t still unobserved the candidate that, added
 to those chosen, observes t and the most targets.  One always exists, the
-candidate whose closed neighborhood contains t's.  Only candidates within
-distance 2 * ell - 1 of t can observe it: given the origins already
-chosen, a new origin changes what round r observes only within distance
-2r - 1 of itself.  Round 1 changes its closed neighborhood, and a node
-forced in a later round by a neighbor u changes only if u or another
-neighbor of u changed in the round before, so each round moves the change
-at most two hops.  The sweep weighs only those candidates, and its pick is
-the one over all of them.  So a lone candidate observing every target,
-which observes the first target, would be the sweep's first pick, and
-ub == 1: at ub >= 2 no lone origin works.
+candidate whose closed neighborhood contains t's.  Only some candidates
+can observe t.  Let B_r be what the chosen set observes by round r, C_r
+the same with v added, and D_r, the nodes of C_r outside B_r, the change.
+Round 1 gives D_1 within N[v] less B_1.  A node entering D_{r+1} is forced
+by some u of C_r: either u is in D_r, and the node is a neighbor of a
+changed node, or u is in B_r, and since the chosen set's run did not force
+the node, N[u] holds a second node of D_r.  So each round moves the change
+one hop, or two hops through a node that the chosen set's run observes.
+t is unobserved in that run, so v observes t only if N[v] less B_1 lies
+within ell - 1 such steps of t, which puts v within distance 2 * ell - 1
+of t.  The sweep weighs only those candidates, and its pick is the one
+over all of them.  So a lone candidate observing every target, which
+observes the first target, would be the sweep's first pick, and ub == 1:
+at ub >= 2 no lone origin works.
 
 Only some nodes are offered as origins.  An origin's one effect is to
 observe its closed neighborhood in round 1, and every later round depends
@@ -323,17 +327,23 @@ def _sweep(g: Graph, order: list[int], tmask: int, ell: int, origins: int) -> fr
     """A feasible set of candidates, the nodes of the mask origins.  The
     first target t of order left unobserved gets the candidate that, added
     to those chosen, observes t and the most targets, the lowest id among
-    equals.  Only candidates within distance 2 * ell - 1 of t can observe
-    it (see the module docstring).  Each candidate re-runs the chosen
-    set's run only where its extra origin reaches, and the pick's run is
-    the next base."""
+    equals.  Only candidates whose closed neighborhood, less the chosen
+    set's round 1, lies within ell - 1 steps of t can observe it, a step
+    being one hop, or two through a node the chosen set's run observes
+    (see the module docstring).  Each candidate re-runs the chosen set's
+    run only where its extra origin reaches, and the pick's run is the
+    next base."""
     closed = g.closed_masks()
     chosen: list[int] = []
     rounds = [0]  # the chosen set's run, round by round
     for t in order:
         if rounds[-1] >> t & 1:
             continue
-        pool = ball(closed, 1 << t, 2 * ell - 1) & origins
+        reach = 1 << t
+        for _ in range(ell - 1):
+            near = ball(closed, reach, 1)
+            reach = near | ball(closed, near & rounds[-1], 1)
+        pool = ball(closed, reach & ~rounds[0], 1) & origins
         top = -1
         while pool:
             low = pool & -pool

@@ -147,29 +147,40 @@ def orientation_from_trace(g: Graph, trace: PropagationTrace) -> TimedOrientatio
 def parse_orientation(text: str, n: int, ell: int) -> TimedOrientation:
     """Orientation file: `d <u> <v>` directed u->v, `u <u> <v>` undirected,
     `t <v> <label|inf>` labels; 1-based ids, `c` comments.  Unlabeled nodes
-    default to inf."""
+    default to inf.  A second line on one edge, in either direction, or on
+    one node's label is refused."""
     directed = set()
     undirected = set()
+    kinds: dict[tuple[int, int], str] = {}
     times: list[float] = [INF] * n
+    labelled: set[int] = set()
     for lineno, parts in records(text):
         kind = parts[0]
         if len(parts) != 3 or kind not in ("d", "u", "t"):
             raise GraphFormatError(f"unrecognized orientation line {' '.join(parts)!r}", lineno)
         a = parse_id(parts[1], n, lineno)
-        if kind == "d":
-            directed.add((a, parse_id(parts[2], n, lineno)))
-        elif kind == "u":
-            b = parse_id(parts[2], n, lineno)
-            undirected.add((a, b) if a < b else (b, a))
-        elif parts[2] == "inf":
-            times[a] = INF
-        else:
+        if kind == "t":
+            if a in labelled:
+                raise GraphFormatError(f"duplicate label for node {a + 1}", lineno)
+            labelled.add(a)
             try:
-                times[a] = int(parts[2])
+                times[a] = INF if parts[2] == "inf" else int(parts[2])
             except ValueError:
                 raise GraphFormatError(
                     f"label must be an integer or 'inf', got {parts[2]!r}", lineno
                 ) from None
+            continue
+        b = parse_id(parts[2], n, lineno)
+        e = (a, b) if a < b else (b, a)
+        how = "directed" if kind == "d" else "undirected"
+        if e in kinds:
+            how = f"{how} twice" if kinds[e] == how else "both directed and undirected"
+            raise GraphFormatError(f"edge ({e[0] + 1}, {e[1] + 1}) {how}", lineno)
+        kinds[e] = how
+        if kind == "d":
+            directed.add((a, b))
+        else:
+            undirected.add(e)
     return TimedOrientation(frozenset(directed), frozenset(undirected), tuple(times), ell)
 
 

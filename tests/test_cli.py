@@ -375,6 +375,7 @@ CLI_FILES = {
     "both.orient": "d 1 2\nu 1 2\nu 2 3\n",
     "short.orient": "d 1 2\n",
     "extra.orient": "d 1 2\nu 2 3\nu 1 3\n",
+    "dup.orient": "d 1 2\nd 1 2\nd 2 3\nt 1 0\nt 2 1\nt 3 5\nt 3 2\n",
     "loop.td": "s td 2 3 3\nb 1 1 2 3\nb 2 1\n2 2\n",
     "twice.minrep": "minrep 1 1 1 1\ne 1 1\ne 1 1\n",
 }
@@ -407,6 +408,8 @@ CLI_CASES = [
      "does not match the graph: edge (2, 3) is missing"),
     (["verify-orientation", "p3.gr", "extra.orient", "--ell", "1"], 2,
      "does not match the graph: edge (1, 3) is not in the graph"),
+    (["verify-orientation", "p3.gr", "dup.orient", "--ell", "2"], 2,
+     "line 2: edge (1, 2) directed twice"),
 ]
 
 

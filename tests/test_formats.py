@@ -127,6 +127,19 @@ REFUSALS = [
                  id="levels-line-shape"),
     pytest.param(lambda text: parse_levels(text, 1), "p edge 1 0\nl 1 one\n", "non-integer level", 2,
                  id="levels-non-integer"),
+    pytest.param(lambda text: parse_orientation(text, 3, 2), "t 3 5\nc x\nt 3 2\n",
+                 "duplicate label for node 3", 3, id="orientation-second-label"),
+    pytest.param(lambda text: parse_orientation(text, 3, 2), "t 2 inf\nt 2 inf\n",
+                 "duplicate label for node 2", 2, id="orientation-second-inf-label"),
+    pytest.param(lambda text: parse_orientation(text, 3, 2), "d 1 2\nd 1 2\n",
+                 "edge (1, 2) directed twice", 2, id="orientation-repeated-directed-edge"),
+    pytest.param(lambda text: parse_orientation(text, 3, 2), "d 2 3\nt 1 0\nd 2 1\nd 3 2\n",
+                 "edge (2, 3) directed twice", 4, id="orientation-reversed-directed-edge"),
+    pytest.param(lambda text: parse_orientation(text, 3, 2), "u 3 2\nu 2 3\n",
+                 "edge (2, 3) undirected twice", 2, id="orientation-repeated-undirected-edge"),
+    pytest.param(lambda text: parse_orientation(text, 3, 2), "u 2 1\nd 1 2\n",
+                 "edge (1, 2) both directed and undirected", 2,
+                 id="orientation-directed-and-undirected-edge"),
 ]
 
 
