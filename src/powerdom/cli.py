@@ -7,7 +7,7 @@ the elapsed-time field of --json results.
 
 Exit codes: 0 success, 1 infeasible or violated results, 2 usage and
 input-parsing errors, 3 internal errors (a solver's result failed its own
-check).
+check), 4 a resource limit reached (out of memory).
 """
 
 from __future__ import annotations
@@ -372,6 +372,9 @@ def main(argv: list[str] | None = None) -> int:
     except RuntimeError as exc:
         print(f"error: internal error: {exc}", file=sys.stderr)
         return 3
+    except MemoryError:
+        print("error: out of memory", file=sys.stderr)
+        return 4
     except BrokenPipeError:
         return 0
 

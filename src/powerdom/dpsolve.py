@@ -17,7 +17,9 @@ nodes it reads
 
 where the last four are bitmasks over bag positions: hatted labels, nodes
 with a directed edge in from the forgotten region, and nodes with at least
-one / at least two directed edges out into it.  Caps are stored negated, so
+one / at least two directed edges out into it.  BagContext is the one owner
+of this layout: every reader takes the fields' offsets from it, and insert
+and forget their child-to-parent field map.  Caps are stored negated, so
 every per-node field merges by max at a join and is smaller-is-better under
 dominance.  A table is a plain dict from state to (cost, back); back indexes
 the child tables in their final, pruned order, so a child's states can be
@@ -122,9 +124,15 @@ class BagContext:
     """Static facts of one nice node: its bag's nodes, sorted, and induced
     edges, the bag's targets, index-based mirrors for fast checks, and
     `open`, the mask of bag positions whose node has a neighbor outside
-    `seen`, the nodes of the bags at or below this one."""
+    `seen`, the nodes of the bags at or below this one.
 
-    __slots__ = ("nodes", "edges", "targets", "pos", "edge_pos", "adj_pos", "open")
+    It alone knows the state layout (see the module docstring): the edge
+    codes start at 0, the labels, below-maxima, negated caps and the four
+    masks at labels_at, below_at, caps_at and masks_at, and a state has
+    length fields."""
+
+    __slots__ = ("nodes", "edges", "targets", "pos", "edge_pos", "adj_pos", "open",
+                 "labels_at", "below_at", "caps_at", "masks_at", "length")
 
     def __init__(self, g: Graph, bag, targets: frozenset[int], seen: int):
         self.nodes = nodes = tuple(sorted(bag))
@@ -141,6 +149,21 @@ class BagContext:
         self.adj_pos = tuple(map(tuple, adj))
         closed = g.closed_masks()
         self.open = sum(1 << i for i, v in enumerate(nodes) if closed[v] & ~seen)
+        self.labels_at, self.below_at, self.caps_at, self.masks_at = (
+            len(self.edges) + k * len(nodes) for k in range(4))
+        self.length = self.masks_at + 4  # hat, in, out1, out2
+
+    def fields_from(self, child: BagContext, extra: int = 0) -> list[int]:
+        """Where each field of this bag's states ahead of the masks sits in
+        child's states.  The fields of nodes and edges that child's bag
+        lacks are numbered extra, extra + 1, ... in this bag's order."""
+        edge_at = {e: k for k, e in enumerate(child.edges)}
+        missing = iter(range(extra, extra + self.masks_at))
+        at = [edge_at[e] if e in edge_at else next(missing) for e in self.edges]
+        for start in (child.labels_at, child.below_at, child.caps_at):
+            at.extend(start + child.pos[v] if v in child.pos else next(missing)
+                      for v in self.nodes)
+        return at
 
 
 def _picker(positions):
@@ -157,13 +180,12 @@ def is_invalid_state(ctx: BagContext, s: tuple) -> bool:
     """True iff the state violates a timed-orientation property locally or
     provably cannot extend to one that satisfies them all."""
     n = len(ctx.nodes)
-    m = len(ctx.edges)
-    if len(s) != m + 3 * n + 4:
+    if len(s) != ctx.length:
         return True
-    labels = s[m : m + n]
-    below_max = s[m + n : m + 2 * n]
-    caps = [-c for c in s[m + 2 * n : m + 3 * n]]
-    hat, in_below, out1, out2 = s[-4:]
+    labels = s[ctx.labels_at : ctx.below_at]
+    below_max = s[ctx.below_at : ctx.caps_at]
+    caps = [-c for c in s[ctx.caps_at : ctx.masks_at]]
+    hat, in_below, out1, out2 = s[ctx.masks_at :]
     if out2 & ~out1 or (hat | in_below | out1) >> n:
         return True  # masks that encode no degree pattern
     if hat & ~ctx.open:
@@ -182,20 +204,21 @@ def is_invalid_state(ctx: BagContext, s: tuple) -> bool:
         from_below = in_below >> i & 1
         to_below = (out1 >> i & 1) + (out2 >> i & 1)
         incoming = d_in[i] + from_below
+        hatted = hat >> i & 1
         if val == UNOBSERVED:
             if ctx.nodes[i] in ctx.targets:
                 return True  # targets must be observed
-            if incoming + d_out[i] + to_below >= 1:
-                return True  # unobserved nodes touch no directed edge
+            if incoming + d_out[i] + to_below + hatted >= 1:
+                return True  # unobserved nodes touch no directed edge and owe nothing
         elif val == 0:
-            if incoming >= 1:
-                return True  # origins are not propagated to
+            if incoming + hatted >= 1:
+                return True  # origins are neither propagated to nor owed a justification
         else:
             if incoming > 1:
                 return True  # at most one justifying edge
-            if hat >> i & 1 and incoming != 0:
+            if hatted and incoming != 0:
                 return True  # hatted means justification still owed
-            if not hat >> i & 1 and incoming == 0:
+            if not hatted and incoming == 0:
                 return True  # plain labels must already be justified
         if from_below and to_below == 2:
             return True
@@ -242,16 +265,16 @@ def _prune_dominated(table: dict, ctx: BagContext) -> None:
     """
     if len(table) < 2:
         return
-    m, n = len(ctx.edges), len(ctx.nodes)
+    n, below, masks = len(ctx.nodes), ctx.below_at, ctx.masks_at
     key_of = _picker([
-        *range(m + n),
-        *(m + n + i for i in range(n) if ctx.open >> i & 1),
-        m + 3 * n,  # hat
-        m + 3 * n + 1,  # in
+        *range(below),  # edge codes and labels
+        *(below + i for i in range(n) if ctx.open >> i & 1),
+        masks,  # hat
+        masks + 1,  # in
     ])
     vec_of = _picker([
-        *range(m + 2 * n, m + 3 * n),  # negated caps
-        *(m + n + i for i in range(n) if not ctx.open >> i & 1),
+        *range(ctx.caps_at, masks),  # negated caps
+        *(below + i for i in range(n) if not ctx.open >> i & 1),
     ])
     keys = list(map(key_of, table))
     if len(set(keys)) == len(keys):
@@ -265,7 +288,7 @@ def _prune_dominated(table: dict, ctx: BagContext) -> None:
             continue
         ranked = []
         for state in group:
-            out1, out2 = state[-2:]
+            _, _, out1, out2 = state[masks:]
             vec = (table[state][0], *vec_of(state), out1.bit_count() + out2.bit_count())
             ranked.append((vec, out1, out2, state))
         # Componentwise <= with any difference implies a smaller vector in
@@ -554,7 +577,7 @@ def _tables(
         seen[i] = mask
         ctx = contexts[i] = BagContext(g, nd.bag, targets, mask)
         if nd.kind == "leaf":
-            table = {(0, 0, 0, 0): (0, ())}
+            table = {(0,) * ctx.length: (0, ())}
         elif nd.kind == "insert":
             c = nd.children[0]
             table = _insert_table(
@@ -573,16 +596,8 @@ def _tables(
         yield i, table, ctx
 
 
-def _insert_table(
-    ctx: BagContext,
-    child_ctx: BagContext,
-    child: dict,
-    x: int,
-    bound: int,
-    eb,
-    origins: int,
-    plans: dict,
-) -> dict:
+def _insert_table(ctx: BagContext, child_ctx: BagContext, child: dict, x: int, bound: int, eb,
+                  origins: int, plans: dict) -> dict:
     """Back-references are (child index, 1 when x is an origin).  x may be
     an origin only when it is in the mask origins.
 
@@ -596,7 +611,7 @@ def _insert_table(
     tell which hats were cleared, so no two (state, output) pairs collide.
     """
     table: dict = {}
-    cm, cn = len(child_ctx.edges), len(child_ctx.nodes)
+    labels, below = child_ctx.labels_at, child_ctx.below_at
     x_at = ctx.pos[x]
     nbrs = tuple(ctx.nodes[p] for p in ctx.adj_pos[x_at])
     d = len(nbrs)
@@ -607,24 +622,18 @@ def _insert_table(
     # neighbor -> x" and "x -> the k-th neighbor".
     code_in = tuple(EDGE_FWD if v < x else EDGE_REV for v in nbrs)
     code_out = tuple(EDGE_REV if v < x else EDGE_FWD for v in nbrs)
-    # A parent state is one pick from the child state followed by x's edge
-    # codes and x's label, below-maximum and negated cap.
-    ext = cm + 3 * cn + 4
-    x_src = {}
-    for k, v in enumerate(nbrs):
-        x_src[(v, x) if v < x else (x, v)] = ext + k
-    picks = [x_src.get(e) if x in e else child_ctx.edges.index(e) for e in ctx.edges]
-    for child_at, x_field_at in ((cm, ext + d), (cm + cn, ext + d + 1), (cm + 2 * cn, ext + d + 2)):
-        picks.extend(x_field_at if v == x else child_at + child_ctx.pos[v] for v in ctx.nodes)
-    body_of = _picker(picks)
-    nbr_labels = _picker([cm + p for p in npos])
-    nbr_caps = _picker([cm + 2 * cn + p for p in npos])
+    # A parent state is one pick from the child state followed by the fields
+    # the child lacks, in parent order: x's edge codes, then x's label,
+    # below-maximum and negated cap.
+    body_of = _picker(ctx.fields_from(child_ctx, child_ctx.length))
+    nbr_labels = _picker([labels + p for p in npos])
+    nbr_caps = _picker([child_ctx.caps_at + p for p in npos])
     # Child directed edges whose tail will neighbor x, as (edge index, the
     # code pointing away from that tail, the head's label field): x's label
     # joins the tail's neighborhood, so the head's deadline caps it.
     nbr_child_pos = frozenset(npos)
     tail_watch = [
-        (k, code, cm + ph)
+        (k, code, labels + ph)
         for k, (pu, pv) in enumerate(child_ctx.edge_pos)
         for code, pt, ph in ((EDGE_FWD, pu, pv), (EDGE_REV, pv, pu))
         if pt in nbr_child_pos
@@ -632,7 +641,8 @@ def _insert_table(
     # Per neighbor, what it has seen: its below-maximum, its label and its
     # bag neighbors' labels.  Justifying x at time b needs b >= 1 + all that.
     seen_of = [
-        _picker([cm + cn + p, cm + p, *(cm + pw for pw in child_ctx.adj_pos[p])]) for p in npos
+        _picker([below + p, labels + p, *(labels + pw for pw in child_ctx.adj_pos[p])])
+        for p in npos
     ]
     x_hi = eb[x]
     x_has_future = bool(ctx.open >> x_at & 1)
@@ -689,6 +699,7 @@ def _insert_table(
                     out.append((codes + (val, 0, -NO_CAP), ~rset, val_hat << x_at, int(val == 0)))
         return out
 
+    masks = child_ctx.masks_at
     low = (1 << x_at) - 1
     up = x_at + 1
     trigger = PRUNE_TRIGGER
@@ -704,7 +715,7 @@ def _insert_table(
                 if 1 < hv <= eff_cap:
                     eff_cap = hv - 1
         # The child's masks with a clear bit opened at x's position.
-        hat, inb, out1, out2 = cstate[-4:]
+        hat, inb, out1, out2 = cstate[masks:]
         hat = hat >> x_at << up | hat & low
         inb = inb >> x_at << up | inb & low
         out1 = out1 >> x_at << up | out1 & low
@@ -720,46 +731,37 @@ def _insert_table(
     return table
 
 
-def _forget_table(
-    ctx: BagContext,
-    child_ctx: BagContext,
-    child: dict,
-    x: int,
-) -> dict:
+def _forget_table(ctx: BagContext, child_ctx: BagContext, child: dict, x: int) -> dict:
     """Back-references are child indices.  A projection that no valid child
     state can fail: x is not open, so not hatted; an edge x -> j becomes j's
     one edge in from below; and a head fed by a bag neighbor of x clears
     1 + x's label by the child's in-bag timing clause."""
     table: dict = {}
-    cm, cn = len(child_ctx.edges), len(child_ctx.nodes)
+    fields_of = _picker(ctx.fields_from(child_ctx))
     xi = child_ctx.pos[x]
-    keep = [i for i in range(cn) if i != xi]
-    head_of = _picker([child_ctx.edges.index(e) for e in ctx.edges] + [cm + i for i in keep])
-    below_of = _picker([cm + cn + i for i in keep])
-    caps_of = _picker([cm + 2 * cn + i for i in keep])
-    # x's bag edges: (child edge index, parent position of the other
-    # endpoint, the code meaning "directed into x").
+    x_label = child_ctx.labels_at + xi
+    # x's bag edges: (child edge index, the code meaning "directed into x",
+    # the other endpoint's parent bit, below-maximum field and cap field).
     x_edges = []
     for k, (u, v) in enumerate(child_ctx.edges):
-        if u == x:
-            x_edges.append((k, ctx.pos[v], EDGE_REV))
-        elif v == x:
-            x_edges.append((k, ctx.pos[u], EDGE_FWD))
+        if x in (u, v):
+            j = ctx.pos[v if u == x else u]
+            x_edges.append(
+                (k, EDGE_REV if u == x else EDGE_FWD, 1 << j, ctx.below_at + j, ctx.caps_at + j))
+    masks = child_ctx.masks_at
     low = (1 << xi) - 1
     up = xi + 1
     for ci, (cstate, (ccost, _)) in enumerate(child.items()):
-        hat, inb, out1, out2 = cstate[-4:]
+        hat, inb, out1, out2 = cstate[masks:]
         hat = hat >> up << xi | hat & low
         inb = inb >> up << xi | inb & low
         out1 = out1 >> up << xi | out1 & low
         out2 = out2 >> up << xi | out2 & low
-        lx = cstate[cm + xi]
-        below = list(below_of(cstate))
-        ncaps = list(caps_of(cstate))
-        for k, j, into_x_code in x_edges:
+        lx = cstate[x_label]
+        fields = list(fields_of(cstate))
+        for k, into_x_code, bit, below, cap in x_edges:
             e = cstate[k]
             if e != EDGE_NONE:
-                bit = 1 << j
                 if e == into_x_code:
                     out2 |= out1 & bit
                     out1 |= bit
@@ -767,29 +769,23 @@ def _forget_table(
                     # future neighbors, which the in-bag timing rule cannot
                     # see.  A round-1 head needs an origin tail instead, and
                     # origins observe their neighborhoods unconditionally.
-                    if lx >= 2 and 1 - lx > ncaps[j]:
-                        ncaps[j] = 1 - lx  # the cap lx - 1, negated
+                    if lx >= 2 and 1 - lx > fields[cap]:
+                        fields[cap] = 1 - lx  # the cap lx - 1, negated
                 else:
                     inb |= bit
-            if below[j] < lx:
-                below[j] = lx
-        state = head_of(cstate) + tuple(below) + tuple(ncaps) + (hat, inb, out1, out2)
+            if fields[below] < lx:
+                fields[below] = lx
+        state = (*fields, hat, inb, out1, out2)
         cur = table.get(state)
         if cur is None or ccost < cur[0]:
             table[state] = (ccost, ci)
     return table
 
 
-def _join_table(
-    ctx: BagContext,
-    left: dict,
-    right: dict,
-    bound: int,
-) -> dict:
+def _join_table(ctx: BagContext, left: dict, right: dict, bound: int) -> dict:
     """Back-references are (left index, right index)."""
     table: dict = {}
-    m, n = len(ctx.edges), len(ctx.nodes)
-    head = m + n
+    labels, below, caps, masks = ctx.labels_at, ctx.below_at, ctx.caps_at, ctx.masks_at
     # Bits where no unseen neighbor remains; a hat surviving the join on one
     # of these nodes could never be resolved.
     nofuture = ~ctx.open
@@ -797,23 +793,24 @@ def _join_table(
     def split(state):
         """The fields a pairing reads: the per-node tail, its largest
         below-maximum and smallest cap for a quick cap check, the masks."""
-        tail = state[head:-4]
-        return (tail, max(tail[:n], default=0), -max(tail[n:], default=-NO_CAP), *state[-4:])
+        return (state[below:masks], max(state[below:caps], default=0),
+                -max(state[caps:masks], default=-NO_CAP), *state[masks:])
 
     # Right states by orientation and labels, in table order.
+    rights = list(right)
     groups: dict[tuple, list] = {}
     for ri, (s, (rcost, _)) in enumerate(right.items()):
-        groups.setdefault(s[:head], []).append((ri, rcost, *split(s)))
+        groups.setdefault(s[:below], []).append((ri, rcost, *split(s)))
     trigger = PRUNE_TRIGGER
     for li, (ls, (lcost, _)) in enumerate(left.items()):
         if len(table) > trigger:
             _prune_dominated(table, ctx)
             trigger = max(PRUNE_TRIGGER, 2 * len(table))
-        key = ls[:head]
+        key = ls[:below]
         group = groups.get(key)
         if group is None:
             continue
-        zeros = key[m:].count(0)
+        zeros = key[labels:].count(0)
         l_tail, l_top, l_floor, l_hat, l_in, l1, l2 = split(ls)
         for ri, rcost, r_tail, r_top, r_floor, r_hat, r_in, r1, r2 in group:
             # The bag's origins are paid for on both sides.
@@ -829,8 +826,8 @@ def _join_table(
             # What one side buried below must fit the other side's caps
             # (b + c > 0 reads "below-maximum b exceeds the cap -c").
             if (l_top > r_floor or r_top > l_floor) and (
-                any(b + c > 0 for b, c in zip(l_tail[:n], r_tail[n:]))
-                or any(b + c > 0 for b, c in zip(r_tail[:n], l_tail[n:]))
+                any(b + c > 0 for b, c in zip(ls[below:caps], rights[ri][caps:masks]))
+                or any(b + c > 0 for b, c in zip(rights[ri][below:caps], ls[caps:masks]))
             ):
                 continue
             state = (*key, *map(max, l_tail, r_tail), hats, l_in | r_in, l1 | r1, l2 | r2 | (l1 & r1))

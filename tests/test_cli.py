@@ -437,6 +437,21 @@ def test_internal_errors_exit_3(spider_file, capsys, monkeypatch):
     assert err == "error: internal error: witness reconstruction failed\n"
 
 
+def test_running_out_of_memory_exits_4(tmp_path, capsys, monkeypatch):
+    # A resource limit is neither a usage error (2) nor an internal one (3):
+    # one stderr line and exit code 4, not a traceback.
+    def exhausted(args):
+        raise MemoryError
+
+    monkeypatch.setattr(cli, "_cmd_closure", exhausted)
+    graph = tmp_path / "p3.gr"
+    graph.write_text(P3)
+    code, out, err = run(capsys, "closure", str(graph), "--sources", "1")
+    assert code == 4
+    assert out == ""
+    assert err == "error: out of memory\n"
+
+
 def test_cli_keeps_the_bindings_the_benchmark_traces():
     # The benchmark's tracer (perfbench/spans.py) wraps these names on
     # powerdom.cli itself, so dropping one of them from cli's module level,

@@ -388,6 +388,28 @@ def test_no_state_hats_a_node_without_unseen_neighbors():
     assert is_invalid_state(BagContext(g, {0, 1}, frozenset(range(3)), 0b111), state)
 
 
+@pytest.mark.parametrize("bag, targets, seen, state", [
+    # Node 1 unobserved and hatted, node 2 still unseen.
+    ({0, 1}, {0}, 0b011, (EDGE_NONE, 0, UNOBSERVED, 0, 0, -NO_CAP, -NO_CAP, 0b10, 0, 0, 0)),
+    # Node 1 an origin and hatted, node 0 still unseen.
+    ({1, 2}, {1}, 0b110, (EDGE_NONE, 0, UNOBSERVED, 0, 0, -NO_CAP, -NO_CAP, 0b01, 0, 0, 0)),
+])
+def test_no_state_hats_an_origin_or_an_unobserved_node(bag, targets, seen, state):
+    # A hat means a justification is still owed, which only a label past 0
+    # can be: an origin needs none, and an unobserved node gets none.
+    ctx = BagContext(path_graph(3), bag, frozenset(targets), seen)
+    assert is_invalid_state(ctx, state)
+    assert not is_invalid_state(ctx, (*state[:-4], 0, 0, 0, 0))
+
+
+def test_states_of_the_wrong_length_are_refused():
+    ctx = BagContext(path_graph(3), {0, 1}, frozenset({0}), 0b011)
+    state = (EDGE_NONE, 0, UNOBSERVED, 0, 0, -NO_CAP, -NO_CAP, 0, 0, 0, 0)
+    assert not is_invalid_state(ctx, state)
+    assert is_invalid_state(ctx, state[:-1])
+    assert is_invalid_state(ctx, (*state, 0))
+
+
 def test_join_refuses_two_justifying_edges():
     # Path a - x - b joined at the bag {x}: a is forgotten below the left
     # child, b below the right one.  A pairing in which both sides justify x
