@@ -247,11 +247,6 @@ def is_invalid_state(ctx: BagContext, s: tuple) -> bool:
     return False
 
 
-# In-progress tables get a dominance sweep whenever they grow past this
-# many entries, bounding peak memory rather than just the handoff size.
-PRUNE_TRIGGER = 200_000
-
-
 def _prune_dominated(table: dict, ctx: BagContext) -> None:
     """Drop states another state renders pointless.
 
@@ -566,7 +561,6 @@ def _tables(
     contexts: list[BagContext | None] = [None] * len(ntd.nodes)
     seen: list[int] = [0] * len(ntd.nodes)
     tables: list[dict | None] = [None] * len(ntd.nodes)
-    plans: dict = {}
     for i in _post_order(ntd):
         nd = ntd.nodes[i]
         mask = 0
@@ -580,8 +574,7 @@ def _tables(
             table = {(0,) * ctx.length: (0, ())}
         elif nd.kind == "insert":
             c = nd.children[0]
-            table = _insert_table(
-                ctx, contexts[c], tables[c], nd.node, bound, eb, origins, plans)
+            table = _insert_table(ctx, contexts[c], tables[c], nd.node, bound, eb, origins)
         elif nd.kind == "forget":
             c = nd.children[0]
             table = _forget_table(ctx, contexts[c], tables[c], nd.node)
@@ -597,16 +590,16 @@ def _tables(
 
 
 def _insert_table(ctx: BagContext, child_ctx: BagContext, child: dict, x: int, bound: int, eb,
-                  origins: int, plans: dict) -> dict:
+                  origins: int) -> dict:
     """Back-references are (child index, 1 when x is an origin).  x may be
     an origin only when it is in the mask origins.
 
     A child state's outputs depend on it only through a short signature:
     the labels and hats of x's bag neighbors, the tightest cap on x's label,
     the least label each neighbor could justify x with, and whether one
-    more origin fits under bound.  `plans`, which lives for one solve, maps a
-    signature plus the table constants the outputs read to those outputs,
-    each as (x's edge codes and fields, hats kept, x's hat, origin flag).
+    more origin fits under bound.  `plans`, which lives for this insert,
+    maps a signature to those outputs, each as (x's edge codes and fields,
+    hats kept, x's hat, origin flag).
     Distinct outputs differ in x's fields or edge codes, and those codes
     tell which hats were cleared, so no two (state, output) pairs collide.
     """
@@ -656,10 +649,6 @@ def _insert_table(ctx: BagContext, child_ctx: BagContext, child: dict, x: int, b
     if x_has_future:
         # A hat is a promise that a justifying neighbor appears later.
         none_opts.extend((a, 1) for a in range(1, x_hi + 1))
-    # The table constants of a plan key.  Everything else the outputs read
-    # follows from these; x's edge codes from the positions, since bag
-    # positions follow node ids.
-    consts = (nmask, x_at, x_hi, x in ctx.targets, x_has_future, dying, x_origin)
 
     def outputs(hats, eff_cap, origin_fits, nlab, seen):
         out = []
@@ -702,11 +691,8 @@ def _insert_table(ctx: BagContext, child_ctx: BagContext, child: dict, x: int, b
     masks = child_ctx.masks_at
     low = (1 << x_at) - 1
     up = x_at + 1
-    trigger = PRUNE_TRIGGER
+    plans: dict = {}
     for ci, (cstate, (ccost, _)) in enumerate(child.items()):
-        if len(table) > trigger:
-            _prune_dominated(table, ctx)
-            trigger = max(PRUNE_TRIGGER, 2 * len(table))
         # Tightest bound x's label must respect from caps and in-bag heads.
         eff_cap = -max(nbr_caps(cstate), default=-NO_CAP)
         for k, code, head in tail_watch:
@@ -722,9 +708,9 @@ def _insert_table(ctx: BagContext, child_ctx: BagContext, child: dict, x: int, b
         out2 = out2 >> x_at << up | out2 & low
         sig = (hat & nmask, eff_cap, ccost < bound, nbr_labels(cstate),
                tuple([max(f(cstate)) for f in seen_of]))
-        plan = plans.get((consts, sig))
+        plan = plans.get(sig)
         if plan is None:
-            plan = plans[consts, sig] = outputs(*sig)
+            plan = plans[sig] = outputs(*sig)
         for tail, keep, x_hat, origin in plan:
             table[body_of(cstate + tail) + (hat & keep | x_hat, inb, out1, out2)] = (
                 ccost + origin, (ci, origin))
@@ -801,11 +787,7 @@ def _join_table(ctx: BagContext, left: dict, right: dict, bound: int) -> dict:
     groups: dict[tuple, list] = {}
     for ri, (s, (rcost, _)) in enumerate(right.items()):
         groups.setdefault(s[:below], []).append((ri, rcost, *split(s)))
-    trigger = PRUNE_TRIGGER
     for li, (ls, (lcost, _)) in enumerate(left.items()):
-        if len(table) > trigger:
-            _prune_dominated(table, ctx)
-            trigger = max(PRUNE_TRIGGER, 2 * len(table))
         key = ls[:below]
         group = groups.get(key)
         if group is None:

@@ -112,7 +112,10 @@ def ball(closed: tuple[int, ...], mask: int, radius: int) -> int:
 
 
 def check_rounds(ell: int) -> None:
-    """Refuse a round budget below 1: round 1 always runs."""
+    """Refuse a round budget that is not an int, or is below 1: round 1
+    always runs."""
+    if not isinstance(ell, int):
+        raise ValueError("round budget ell must be an integer")
     if ell < 1:
         raise ValueError("round budget ell must be >= 1")
 

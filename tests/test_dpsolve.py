@@ -1,5 +1,4 @@
 import random
-import sys
 from collections import Counter
 from math import ceil, inf as INF
 
@@ -24,12 +23,14 @@ from conftest import (
 from powerdom import dpsolve
 from powerdom.bruteforce import solve_bf
 from powerdom.dpsolve import (
+    EDGE_FWD,
     EDGE_NONE,
     NO_CAP,
     UNOBSERVED,
     BagContext,
     _deepest_first,
     _insert_may_dominate,
+    _insert_table,
     _join_table,
     _label_bounds,
     _origins,
@@ -317,17 +318,28 @@ def test_matches_bruteforce_exhaustive_small():
 
 @pytest.mark.usefixtures("dp_tables")
 def test_matches_bruteforce_random_targets():
+    cases = []
     rng = random.Random(2718)
     for _ in range(60):
         n = rng.randint(2, 8)
         g = random_graph(rng, n, rng.uniform(0.15, 0.8))
         ell = rng.randint(1, n - 1)
-        targets = frozenset(v for v in range(n) if rng.random() < 0.6)
-        opt_bf = solve_bf(g, targets, ell)[0]
-        opt_dp, witness = solve_dp(g, targets, ell)
-        assert opt_dp == opt_bf, (g.edges, sorted(targets), ell)
+        cases.append((g, frozenset(v for v in range(n) if rng.random() < 0.6), ell))
+    rng = random.Random(3141)
+    for _ in range(300):
+        n = rng.randint(3, 10)
+        g = random_graph(rng, n, rng.uniform(0.2, 0.7))
+        targets = frozenset(v for v in range(n) if rng.random() < 0.8) or frozenset({0})
+        cases.append((g, targets, rng.randint(1, min(4, n - 1))))
+    tabled = 0
+    for g, targets, ell in cases:
+        stats: dict = {}
+        opt_dp, witness = solve_dp(g, targets, ell, stats=stats)
+        assert opt_dp == solve_bf(g, targets, ell)[0], (g.edges, sorted(targets), ell)
         assert len(witness) == opt_dp
         assert is_feasible(g, witness, targets, ell)
+        tabled += bool(stats["table_sizes"])
+    assert tabled > 40
 
 
 @pytest.mark.usefixtures("dp_tables")
@@ -400,6 +412,44 @@ def test_no_state_hats_an_origin_or_an_unobserved_node(bag, targets, seen, state
     ctx = BagContext(path_graph(3), bag, frozenset(targets), seen)
     assert is_invalid_state(ctx, state)
     assert not is_invalid_state(ctx, (*state[:-4], 0, 0, 0, 0))
+
+
+# One row per refusal clause of is_invalid_state, on the bag {0, 1} of the
+# path 0 - 1 - 2 with node 2 unseen, so that only node 1 is open: a state the
+# clause refuses, and a neighbor one field away that passes.
+@pytest.mark.parametrize("targets, refused, accepted", [
+    pytest.param({0}, (EDGE_NONE, 0, UNOBSERVED, 0, 0, -NO_CAP, -NO_CAP, 0, 0, 0, 0b01),
+                 (EDGE_NONE, 0, UNOBSERVED, 0, 0, -NO_CAP, -NO_CAP, 0, 0, 0b01, 0b01),
+                 id="two out-edges below without one"),
+    pytest.param({0, 1}, (EDGE_NONE, 0, UNOBSERVED, 0, 0, -NO_CAP, -NO_CAP, 0, 0, 0, 0),
+                 (EDGE_NONE, 0, 0, 0, 0, -NO_CAP, -NO_CAP, 0, 0, 0, 0),
+                 id="an unobserved target"),
+    pytest.param({0}, (EDGE_FWD, 0, 1, 0, 0, -NO_CAP, -NO_CAP, 0, 0b10, 0, 0),
+                 (EDGE_FWD, 0, 1, 0, 0, -NO_CAP, -NO_CAP, 0, 0, 0, 0),
+                 id="two justifying edges"),
+    pytest.param({0}, (EDGE_FWD, 0, 1, 0, 0, -NO_CAP, -NO_CAP, 0b10, 0, 0, 0),
+                 (EDGE_FWD, 0, 1, 0, 0, -NO_CAP, -NO_CAP, 0, 0, 0, 0),
+                 id="a hat with an in-edge"),
+    pytest.param({0}, (EDGE_NONE, 0, 1, 0, 0, -NO_CAP, -NO_CAP, 0, 0, 0, 0),
+                 (EDGE_NONE, 0, 1, 0, 0, -NO_CAP, -NO_CAP, 0b10, 0, 0, 0),
+                 id="a plain label with no in-edge"),
+    pytest.param({0}, (EDGE_NONE, 1, UNOBSERVED, 0, 0, -NO_CAP, -NO_CAP, 0, 0b01, 0b01, 0b01),
+                 (EDGE_NONE, 1, UNOBSERVED, 0, 0, -NO_CAP, -NO_CAP, 0, 0b01, 0b01, 0),
+                 id="an in-edge from below and two out-edges below"),
+    pytest.param({0}, (EDGE_FWD, 1, 1, 0, 0, -NO_CAP, -NO_CAP, 0, 0b01, 0, 0),
+                 (EDGE_FWD, 1, 2, 0, 0, -NO_CAP, -NO_CAP, 0, 0b01, 0, 0),
+                 id="a round-1 head with a tail that is no origin"),
+    pytest.param({0}, (EDGE_FWD, 1, 2, 2, 0, -NO_CAP, -NO_CAP, 0, 0b01, 0, 0),
+                 (EDGE_FWD, 1, 2, 0, 0, -NO_CAP, -NO_CAP, 0, 0b01, 0, 0),
+                 id="a head no later than what its tail has seen"),
+    pytest.param({0}, (EDGE_NONE, 0, 2, 0, 0, -1, -NO_CAP, 0b10, 0, 0, 0),
+                 (EDGE_NONE, 0, 2, 0, 0, -2, -NO_CAP, 0b10, 0, 0, 0),
+                 id="a label above a bag neighbor's cap"),
+])
+def test_each_refusal_clause_has_a_valid_neighbor(targets, refused, accepted):
+    ctx = BagContext(path_graph(3), {0, 1}, frozenset(targets), 0b011)
+    assert is_invalid_state(ctx, refused)
+    assert not is_invalid_state(ctx, accepted)
 
 
 def test_states_of_the_wrong_length_are_refused():
@@ -819,30 +869,32 @@ def _solver_tables(g, targets, ell, ntd):
     return list(_tables(g, ntd, targets, ub, eb, origins))
 
 
-class _PlanStoreThatForgets(dict):
-    """A plan store in which every lookup misses."""
-
-    def get(self, key, default=None):
-        return default
-
-
-def test_insert_plans_match_outputs_computed_afresh(monkeypatch):
-    # Reusing an insert plan across states and tables must give exactly the
-    # tables that computing every state's outputs afresh gives: a plan key
-    # missing something its outputs read would hand one state another's.
-    insert_table = dpsolve._insert_table
+def test_insert_plans_match_outputs_computed_afresh():
+    # An insert replays one child state's outputs for every later state of
+    # the same signature.  Its table must equal, in order, the union of the
+    # tables built from each child state alone, where no plan can be
+    # reused: a signature missing something the outputs read would hand
+    # one state another's.
     inserts = 0
     for g, targets, ell, ntd in _table_cases():
-        planned = _solver_tables(g, targets, ell, ntd)
-        with monkeypatch.context() as m:
-            m.setattr(dpsolve, "_insert_table",
-                      lambda *args: insert_table(*args[:-1], _PlanStoreThatForgets()))
-            fresh = _solver_tables(g, targets, ell, ntd)
-        assert len(planned) == len(fresh)
-        for (i, table, _), (j, want, _) in zip(planned, fresh):
-            assert i == j and list(table.items()) == list(want.items()), (g.edges, ell, i)
-        inserts += sum(1 for i, _, _ in planned if ntd.nodes[i].kind == "insert")
-    assert inserts > 1500
+        bound = len(_swept(g, targets, ell))
+        origins = _origins(g)
+        eb = _label_bounds(g, ell, origins, sum(1 << v for v in targets))
+        built = {i: (table, ctx) for i, table, ctx in _solver_tables(g, targets, ell, ntd)}
+        for i, (_, ctx) in built.items():
+            nd = ntd.nodes[i]
+            if nd.kind != "insert":
+                continue
+            child, child_ctx = built[nd.children[0]]
+            whole = _insert_table(ctx, child_ctx, child, nd.node, bound, eb, origins)
+            alone: dict = {}
+            for ci, (state, value) in enumerate(child.items()):
+                part = _insert_table(ctx, child_ctx, {state: value}, nd.node, bound, eb, origins)
+                for s, (cost, (_, origin)) in part.items():
+                    alone[s] = (cost, (ci, origin))
+            assert list(whole.items()) == list(alone.items()), (g.edges, ell, i)
+            inserts += len(child) > 1
+    assert inserts > 1000
 
 
 def test_skipped_dominance_sweeps_would_remove_nothing():
@@ -859,52 +911,6 @@ def test_skipped_dominance_sweeps_would_remove_nothing():
             assert swept == table, (g.edges, ell, i)
             skipped += 1
     assert skipped > 1000
-
-
-def test_sweeps_during_a_build_keep_optima_and_table_sizes(monkeypatch, request):
-    # An insert or join table is swept for dominated states whenever it
-    # grows past PRUNE_TRIGGER entries.  At a trigger of 3 these sweeps run
-    # on small graphs, and they may drop only what the sweep after the
-    # table drops anyway: optima and the per-node table sizes solve_dp
-    # reports stay the same.  The grids and the prism settle at ub == 2
-    # by the search for a lone origin, so their tables are built as
-    # _solver_tables builds them.
-    request.getfixturevalue("dp_tables")
-    rng = random.Random(3141)
-    cases = []
-    for _ in range(300):
-        n = rng.randint(3, 10)
-        g = random_graph(rng, n, rng.uniform(0.2, 0.7))
-        targets = frozenset(v for v in range(n) if rng.random() < 0.8) or frozenset({0})
-        cases.append((g, targets, rng.randint(1, min(4, n - 1))))
-    named = ((grid_graph(3, 4), 2), (prism_graph(5), 2), (grid_graph(3, 3), 1))
-
-    def solve_all():
-        out = []
-        for g, targets, ell in cases:
-            stats: dict = {}
-            out.append((solve_dp(g, targets, ell, stats=stats)[0], stats["table_sizes"]))
-        for g, ell in named:
-            tables = _solver_tables(g, frozenset(range(g.n)), ell, to_nice(heuristic_td(g)))
-            out.append([len(table) for _, table, _ in tables])
-        return out
-
-    default = solve_all()
-    callers = Counter()
-    prune = dpsolve._prune_dominated
-
-    def counted(table, ctx):
-        callers[sys._getframe(1).f_code.co_name] += 1
-        prune(table, ctx)
-
-    monkeypatch.setattr(dpsolve, "_prune_dominated", counted)
-    monkeypatch.setattr(dpsolve, "PRUNE_TRIGGER", 3)
-    swept = solve_all()
-    assert callers["_insert_table"] and callers["_join_table"], callers
-    assert swept == default
-    for (g, targets, ell), (opt, _) in zip(cases, swept):
-        assert opt == solve_bf(g, targets, ell)[0], (g.edges, sorted(targets), ell)
-    assert sum(1 for _, sizes in swept[:len(cases)] if sizes) > 40
 
 
 def test_bag_context_and_leaf_tables_match_references():

@@ -90,6 +90,7 @@ def test_emit_levels_and_comments():
 P3 = path_graph(3)
 FLAT = LevelAssignment((1, 1, 1))
 ROUNDS = "round budget ell must be >= 1"
+WHOLE = "round budget ell must be an integer"
 REFUSALS = {
     "propagate ell": (lambda: propagate(P3, [0], 0), ROUNDS),
     "is_feasible ell": (lambda: is_feasible(P3, [0], [0], 0), ROUNDS),
@@ -109,6 +110,15 @@ REFUSALS = {
     "solve_dp target": (lambda: solve_dp(P3, [7], 1), "target 7 out of range"),
     "canonical_assignment source": (
         lambda: canonical_assignment(P3, [7], 1), "source 7 out of range"),
+    "propagate ell 2.5": (lambda: propagate(P3, [0], 2.5), WHOLE),
+    "is_feasible ell 2.5": (lambda: is_feasible(P3, [0], [0], 2.5), WHOLE),
+    "solve_bf ell 2.5": (lambda: solve_bf(P3, [0], 2.5), WHOLE),
+    "solve_dp ell 2.5": (lambda: solve_dp(P3, [0], 2.5), WHOLE),
+    "ptas_detailed ell 2.5": (lambda: ptas_detailed(P3, FLAT, 2.5, 1), WHOLE),
+    "build_blocks ell 2.5": (lambda: build_blocks(FLAT, 1, 4, 2.5), WHOLE),
+    "build_ip_ell ell 2.5": (lambda: build_ip_ell(P3, 2.5), WHOLE),
+    "attach_paths ell 2.5": (lambda: attach_paths(P3, 2.5), WHOLE),
+    "canonical_assignment ell 2.5": (lambda: canonical_assignment(P3, [1], 2.5), WHOLE),
 }
 
 

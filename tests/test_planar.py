@@ -80,6 +80,30 @@ def test_bad_rotations_rejected():
         compute_levels(k5, RotationSystem(rot, (0, 1)))
 
 
+def test_levels_of_tiny_and_misrooted_embeddings():
+    # No edges: nothing to peel on 0 nodes, one exterior node on 1, and two
+    # isolated nodes are no connected embedding.
+    assert compute_levels(Graph(0, []), RotationSystem((), (0, 1))).level == ()
+    assert compute_levels(Graph(1, []), RotationSystem(((),), (0, 1))).level == (1,)
+    with pytest.raises(ValueError, match="graph is not connected"):
+        compute_levels(Graph(2, []), RotationSystem(((), ()), (0, 1)))
+    c4 = cycle_graph(4)
+    rot = tuple(((i - 1) % 4, (i + 1) % 4) for i in range(4))
+    for dart in ((0, 2), (1, 1)):
+        with pytest.raises(ValueError, match="outer face dart is not an edge of the graph"):
+            compute_levels(c4, RotationSystem(rot, dart))
+
+
+def test_block_arguments_out_of_range():
+    lv = LevelAssignment((1, 2, 3))
+    with pytest.raises(ValueError, match="block width k must be >= 1"):
+        build_blocks(lv, 1, 0, 1)
+    for i in (0, 5):
+        with pytest.raises(ValueError, match=f"shift index {i} outside 1..4"):
+            build_blocks(lv, i, 4, 1)
+    assert build_blocks(LevelAssignment(()), 1, 4, 1) == []
+
+
 def test_validate_levels():
     c8 = cycle_graph(8)
     assert validate_levels(c8, LevelAssignment((1,) * 8)) is None
